@@ -18,8 +18,10 @@ Delta_ij on the spinor block.  The -4 scaling on the odd blocks of the
 alternative "display" generators is preserved by build_display_blocks and
 measured by display_block_relation.
 
-Everything here is immutable after construction and all verification loops
-are pure, so they parallelize trivially; reports are ordered by flat index.
+Every pair suite (the defining relations, the Jacobi pair strata and both
+so(16) spinor checks) runs through one exact sparse engine, _pair_failures,
+whose right-hand sides come from the stored bracket table or, for the
+spinor checks, from the so(16) rule; reports are ordered by flat index.
 """
 
 from __future__ import annotations
@@ -99,24 +101,39 @@ class AlgebraElement:
         return not self.coeffs.any()
 
 
+def _so16_structure() -> list[sp.csr_matrix]:
+    """The so(16) rule as 120 doubled structure matrices.
+
+    Entry (c, b) of the a-th matrix is twice the coefficient of J_c in
+    [J_a, J_b] = d_jk J_il - d_jl J_ik - d_ik J_jl + d_il J_jk, where
+    J_a = J_ij, J_b = J_kl and J_qp = -J_pq.
+    """
+    out = []
+    for i, j in VECTOR_PAIRS:
+        rows, cols, vals = [], [], []
+        for b, (k, l) in enumerate(VECTOR_PAIRS):
+            for hit, p, q, v in ((j == k, i, l, 2), (j == l, i, k, -2),
+                                 (i == k, j, l, -2), (i == l, j, k, 2)):
+                if hit and p != q:
+                    rows.append(PAIR_INDEX[(min(p, q), max(p, q))])
+                    cols.append(b)
+                    vals.append(v if p < q else -v)
+        out.append(sp.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)), shape=(NV, NV)))
+    return out
+
+
 class StructureTensor:
     """Sparse bracket table (A, B) with A < B -> list of (C, doubled coeff).
 
     Antisymmetry is implicit: only A < B is stored.  The per-pair arrays of
     the 120 half-signed-permutation matrices Delta_ij are kept alongside as
-    the exact fast path for the exhaustive verification loops.
+    the exact fast path for the so(16) spinor check and the Cartan search.
     """
 
     def __init__(self, brackets, pi, sg):
         self.brackets = brackets  # dict[(a, b)] -> (targets int64[], coeffs int64[])
         self.pi = pi              # [120, 128] column of the nonzero in row alpha of 2*Delta_k
         self.sg = sg              # [120, 128] its sign
-        self.pinv = np.empty_like(pi)
-        self.sginv = np.empty_like(sg)
-        rows = np.arange(NS)
-        for k in range(NV):
-            self.pinv[k, pi[k]] = rows
-            self.sginv[k] = sg[k, self.pinv[k]]
 
     @classmethod
     def build(cls, d: SpinorGenerators) -> "StructureTensor":
@@ -127,61 +144,41 @@ class StructureTensor:
 
         brackets = {}
 
-        def put(a, b, entries):
-            if entries:
-                cs = np.array([c for c, _ in entries], dtype=np.int64)
-                vs = np.array([v for _, v in entries], dtype=np.int64)
-                brackets[(a, b)] = (cs, vs)
+        def put(a, b, cs, vs):
+            if len(cs):
+                brackets[(a, b)] = (np.asarray(cs, dtype=np.int64), np.asarray(vs, dtype=np.int64))
 
-        # vector-vector from the so(16) commutation rule
-        for a, (i, j) in enumerate(VECTOR_PAIRS):
+        # vector-vector from the so(16) rule; column b of the a-th matrix,
+        # rows sorted, is [J_a, J_b]
+        for a, s in enumerate(_so16_structure()):
+            s = s.tocsc()
+            s.sort_indices()
             for b in range(a + 1, NV):
-                k, l = VECTOR_PAIRS[b]
-                acc = {}
-
-                def add(p, q, sgn, acc=acc):
-                    if p == q:
-                        return
-                    if p < q:
-                        acc[PAIR_INDEX[(p, q)]] = acc.get(PAIR_INDEX[(p, q)], 0) + sgn
-                    else:
-                        acc[PAIR_INDEX[(q, p)]] = acc.get(PAIR_INDEX[(q, p)], 0) - sgn
-
-                if j == k:
-                    add(i, l, 1)
-                if j == l:
-                    add(i, k, -1)
-                if i == k:
-                    add(j, l, -1)
-                if i == l:
-                    add(j, k, 1)
-                put(a, b, sorted((c, 2 * v) for c, v in acc.items() if v))
+                lo, hi = s.indptr[b], s.indptr[b + 1]
+                put(a, b, s.indices[lo:hi], s.data[lo:hi])
 
         # vector-spinor: coeff of Q_beta in [J_k, Q_alpha] is (Delta_k)_{beta,alpha},
         # nonzero exactly at beta = pinv[k, alpha]
-        pinv = np.empty_like(pi)
-        rows = np.arange(NS)
-        for k in range(NV):
-            pinv[k, pi[k]] = rows
+        pinv = np.argsort(pi, axis=1)
         for k in range(NV):
             for alpha in range(NS):
                 beta = pinv[k, alpha]
-                put(k, NV + alpha, [(NV + int(beta), int(sg[k, beta]))])
+                put(k, NV + alpha, [NV + beta], [sg[k, beta]])
 
         # spinor-spinor: coeff of J_k in [Q_alpha, Q_beta] is -(Delta_k)_{alpha,beta};
         # each permutation is a fixed-point-free involution, so restricting to
-        # alpha < pi_k(alpha) visits every unordered pair exactly once
+        # alpha < pi_k(alpha) visits every (k, unordered pair) exactly once,
+        # with k increasing
         qq = {}
         for k in range(NV):
             for alpha in range(NS):
                 beta = int(pi[k, alpha])
                 if alpha < beta:
-                    qq.setdefault((alpha, beta), []).append((k, -int(sg[k, alpha])))
-        for (alpha, beta), entries in qq.items():
-            merged = {}
-            for c, v in entries:
-                merged[c] = merged.get(c, 0) + v
-            put(NV + alpha, NV + beta, sorted((c, v) for c, v in merged.items() if v))
+                    cs, vs = qq.setdefault((alpha, beta), ([], []))
+                    cs.append(k)
+                    vs.append(-sg[k, alpha])
+        for (alpha, beta), (cs, vs) in qq.items():
+            put(NV + alpha, NV + beta, cs, vs)
 
         return cls(brackets, pi, sg)
 
@@ -262,17 +259,10 @@ def build_display_blocks(d: SpinorGenerators) -> list[sp.csr_matrix]:
     row-first as displayed.  display_block_relation measures the exact
     factor against the canonical adjoint.
     """
-    pi = np.zeros((NV, NS), dtype=np.int64)
-    sg = np.zeros((NV, NS), dtype=np.int64)
-    for k, pair in enumerate(VECTOR_PAIRS):
-        pi[k], sg[k] = signed_permutation_arrays(d.delta[pair])
-
-    out = []
+    t = StructureTensor.build(d)
+    pi, sg = t.pi, t.sg
     # vector blocks: identical content to the canonical ad(J_ij)
-    full = StructureTensor.build(d)
-    rep = AdjointRep.build(full)
-    for a in range(NV):
-        out.append(rep.mats[a].copy())
+    out = AdjointRep.build(t).mats[:NV]
     # spinor blocks with the explicit factor 4 and minus sign
     for alpha in range(NS):
         r, c, v = [], [], []
@@ -350,20 +340,62 @@ class SuiteReport:
         return out
 
 
-def _commutator_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
-    # doubled @ doubled = 4x true; callers compare against 4x-true right sides
-    return a @ b - b @ a
+def _pair_failures(mats, structure, rows) -> np.ndarray:
+    """Exact check of [M_a, M_b] = sum_c T_a[c, b] M_c for a in rows, all b.
+
+    mats are n doubled d x d CSR matrices and structure[a] is the doubled
+    n x n matrix T_a, so both sides are 4x true.  Each row a is one sparse
+    step over every b at once: with X the vertical stack of the M_b,
+    kron(I, M_a) @ X - X @ M_a stacks the commutators, and with V the rows
+    vec(M_c), T_a^T @ V stacks the right-hand sides.  Returns mask[i, b],
+    True where the pair (rows[i], b) fails.
+    """
+    n, d = len(mats), mats[0].shape[0]
+    x = sp.vstack(mats, format="csr")
+    v = x.reshape(n, d * d).tocsr()
+    eye = sp.identity(n, dtype=np.int64, format="csr")
+    mask = np.zeros((len(rows), n), dtype=bool)
+    for i, a in enumerate(rows):
+        m = mats[a]
+        rhs = (structure[a].T @ v).reshape(x.shape)
+        diff = (sp.kron(eye, m, format="csr") @ x - x @ m - rhs).tocoo()
+        mask[i, diff.row[diff.data != 0] // d] = True
+    return mask
 
 
-def _rhs_csr(rep, t: StructureTensor, a: int, b: int) -> sp.csr_matrix:
-    cs, vs = t.bracket_basis(a, b)
-    out = sp.csr_matrix((DIM, DIM), dtype=np.int64)
-    for c, v in zip(cs, vs):
-        out = out + rep.mats[c] * int(v)  # doubled coeff * doubled mat = 4x true
-    return out
+def _pair_suites(mats, structure, strata, label) -> list[SuiteReport]:
+    """One SuiteReport per (name, select) stratum from one engine pass.
+
+    select(a, b) marks the pairs of a stratum on broadcast index grids;
+    the engine runs only the rows some stratum needs.  Failures are read
+    off the mask in flat-index order, so the first counterexample is the
+    first failing pair (a, b) with a, then b, increasing; strata from one
+    pass share its elapsed time.
+    """
+    t0 = time.time()
+    n = len(mats)
+    a, b = np.arange(n)[:, None], np.arange(n)[None, :]
+    selects = [(name, select(a, b)) for name, select in strata]
+    need = np.zeros(n, dtype=bool)
+    for _, sel in selects:
+        need |= sel.any(axis=1)
+    rows = np.flatnonzero(need)
+    mask = _pair_failures(mats, structure, rows)
+    elapsed = time.time() - t0
+    reports = []
+    for name, sel in selects:
+        bad = np.argwhere(mask & sel[rows])
+        first = label(rows[bad[0, 0]], bad[0, 1]) if len(bad) else None
+        reports.append(SuiteReport(name, int(sel.sum()), len(bad), first, elapsed))
+    return reports
 
 
-ALL_RELATION_STRATA = ("vector-vector", "vector-spinor", "spinor-spinor")
+_RELATION_STRATA = {
+    "vector-vector": lambda a, b: (a < NV) & (b < NV),
+    "vector-spinor": lambda a, b: (a < NV) & (b >= NV),
+    "spinor-spinor": lambda a, b: (a >= NV) & (b > a),
+}
+ALL_RELATION_STRATA = tuple(_RELATION_STRATA)
 
 
 def verify_defining_relations(
@@ -373,92 +405,31 @@ def verify_defining_relations(
 
     Strata: vector-vector (all 14400 ordered pairs), vector-spinor (all
     120 x 128 pairs), spinor-spinor (all 8128 unordered pairs).  Exact
-    integer comparison; the first failing pair is reported by name.
+    integer comparison; the first failing pair is reported by name.  The
+    right-hand sides are read from the stored brackets of t at call time.
     """
-    reports = []
-
-    def run(name, pairs_iter, count):
-        if name not in strata:
-            return
-        t0 = time.time()
-        failures = 0
-        first = None
-        for a, b in pairs_iter:
-            lhs = _commutator_csr(rep.mats[a], rep.mats[b])
-            rhs = _rhs_csr(rep, t, a, b)
-            if (lhs - rhs).nnz != 0:
-                failures += 1
-                if first is None:
-                    first = f"[{flat_label(a)}, {flat_label(b)}]"
-        reports.append(SuiteReport(name, count, failures, first, time.time() - t0))
-
-    run(
-        "vector-vector",
-        ((a, b) for a in range(NV) for b in range(NV)),
-        NV * NV,
+    return _pair_suites(
+        rep.mats,
+        AdjointRep.build(t).mats,
+        [(name, _RELATION_STRATA[name]) for name in ALL_RELATION_STRATA if name in strata],
+        lambda a, b: f"[{flat_label(a)}, {flat_label(b)}]",
     )
-    run(
-        "vector-spinor",
-        ((a, b) for a in range(NV) for b in range(NV, DIM)),
-        NV * NS,
-    )
-    run(
-        "spinor-spinor",
-        ((a, b) for a in range(NV, DIM) for b in range(a + 1, DIM)),
-        NS * (NS - 1) // 2,
-    )
-    return reports
 
 
 def _verify_eq1_family(pi: np.ndarray, sg: np.ndarray, name: str) -> SuiteReport:
     """Exhaustive so(16) commutation check for a 128x128 generator family.
 
-    All 14400 ordered pairs, in exact integer arithmetic on the signed
-    permutation encoding (the doubled generators are signed permutations,
-    so each commutator is a difference of two signed-permutation
-    compositions).
+    All 14400 ordered pairs of the doubled generators, rebuilt as sparse
+    signed permutations from (pi, sg), against the so(16) rule.
     """
-    t0 = time.time()
-    failures = 0
-    first = None
-    idx = np.arange(NS)
-    for a, (i, j) in enumerate(VECTOR_PAIRS):
-        pa, sa = pi[a], sg[a]
-        for b, (k, l) in enumerate(VECTOR_PAIRS):
-            pb, sb = pi[b], sg[b]
-            # lhs = 4*[Delta_a, Delta_b]: composition difference as dense rows
-            comp1_t = pb[pa]
-            comp1_s = sa * sb[pa]
-            comp2_t = pa[pb]
-            comp2_s = sb * sa[pb]
-            # rhs doubled from Eq(1); 4*true = 2 * (doubled rhs)
-            acc = {}
-            def add(p, q, sgn, acc=acc):
-                if p == q:
-                    return
-                if p < q:
-                    acc[PAIR_INDEX[(p, q)]] = acc.get(PAIR_INDEX[(p, q)], 0) + sgn
-                else:
-                    acc[PAIR_INDEX[(q, p)]] = acc.get(PAIR_INDEX[(q, p)], 0) - sgn
-            if j == k:
-                add(i, l, 1)
-            if j == l:
-                add(i, k, -1)
-            if i == k:
-                add(j, l, -1)
-            if i == l:
-                add(j, k, 1)
-            lhs = np.zeros((NS, NS), dtype=np.int64)
-            lhs[idx, comp1_t] += comp1_s
-            lhs[idx, comp2_t] -= comp2_s
-            rhs = np.zeros((NS, NS), dtype=np.int64)
-            for c, v in acc.items():
-                rhs[idx, pi[c]] += 2 * v * sg[c]
-            if not np.array_equal(lhs, rhs):
-                failures += 1
-                if first is None:
-                    first = f"[Delta({i},{j}), Delta({k},{l})]"
-    return SuiteReport(name, NV * NV, failures, first, time.time() - t0)
+    mats = [sp.csr_matrix((sg[k], (np.arange(NS), pi[k])), shape=(NS, NS)) for k in range(NV)]
+    (report,) = _pair_suites(
+        mats,
+        _so16_structure(),
+        [(name, _RELATION_STRATA["vector-vector"])],
+        lambda a, b: "[Delta(%d,%d), Delta(%d,%d)]" % (*VECTOR_PAIRS[a], *VECTOR_PAIRS[b]),
+    )
+    return report
 
 
 def verify_so16_on_spinors(t: StructureTensor) -> SuiteReport:
@@ -556,30 +527,14 @@ def verify_jacobi(
     exhaustive QQQ scan over all 8128 (alpha < beta) pairs against all 128
     gamma simultaneously.
     """
-    reports = []
-
-    def run_pairs(name, pairs_iter, count):
-        t0 = time.time()
-        failures = 0
-        first = None
-        for a, b in pairs_iter:
-            lhs = _commutator_csr(rep.mats[a], rep.mats[b])
-            rhs = _rhs_csr(rep, t, a, b)
-            if (lhs - rhs).nnz != 0:
-                failures += 1
-                if first is None:
-                    first = f"pair ({flat_label(a)}, {flat_label(b)})"
-        reports.append(SuiteReport(name, count, failures, first, time.time() - t0))
-
-    run_pairs(
-        "jacobi-JJ*-pairs",
-        ((a, b) for a in range(NV) for b in range(a + 1, NV)),
-        NV * (NV - 1) // 2,
-    )
-    run_pairs(
-        "jacobi-JQ*-pairs",
-        ((a, b) for a in range(NV) for b in range(NV, DIM)),
-        NV * NS,
+    reports = _pair_suites(
+        rep.mats,
+        AdjointRep.build(t).mats,
+        [
+            ("jacobi-JJ*-pairs", lambda a, b: (a < NV) & (b > a) & (b < NV)),
+            ("jacobi-JQ*-pairs", _RELATION_STRATA["vector-spinor"]),
+        ],
+        lambda a, b: f"pair ({flat_label(a)}, {flat_label(b)})",
     )
 
     # per-entry arrays sourced from the *stored* tensor coefficients, so a
@@ -666,18 +621,17 @@ def verify_jacobi(
 
 
 def killing_form(rep: AdjointRep) -> HalfIntMatrix:
-    """K_AB = trace(ad_A ad_B), exact, as a HalfIntMatrix."""
-    dense = np.zeros((DIM, DIM), dtype=np.int64)
-    for a in range(DIM):
-        ma = rep.mats[a].T.tocsr()
-        for b in range(a, DIM):
-            # trace(A @ B) = sum of elementwise A * B^T; doubled*doubled = 4x true
-            v = int(ma.multiply(rep.mats[b]).sum())
-            if v % 2:
-                raise ValueError("killing entry outside (1/2)*Z")
-            dense[a, b] = v >> 1
-            dense[b, a] = v >> 1
-    return HalfIntMatrix(dense)
+    """K_AB = trace(ad_A ad_B), exact, as a HalfIntMatrix.
+
+    trace(A @ B) = vec(A) . vec(B^T), so K is one sparse product of the
+    rows vec(ad_A) with the rows vec(ad_B^T); doubled * doubled = 4x true.
+    """
+    vecs = sp.vstack([m.reshape(1, DIM * DIM) for m in rep.mats]).tocsr()
+    vecs_t = sp.vstack([m.T.reshape(1, DIM * DIM) for m in rep.mats]).tocsr()
+    quad = (vecs @ vecs_t.T).toarray()
+    if (quad & 1).any():
+        raise ValueError("killing entry outside (1/2)*Z")
+    return HalfIntMatrix(quad >> 1)
 
 
 # ---------------------------------------------------------------------------

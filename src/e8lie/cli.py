@@ -45,11 +45,26 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _parse_y(text: str) -> np.ndarray:
-    vals = [float(v) for v in text.split(",")]
-    if len(vals) != 8:
-        raise SystemExit(2)
-    return np.array(vals)
+def _y_arg(text: str) -> tuple[float, ...]:
+    """argparse type: eight finite comma-separated numbers."""
+    try:
+        vals = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        vals = ()
+    if len(vals) != 8 or not np.isfinite(vals).all():
+        raise argparse.ArgumentTypeError(f"expected 8 finite comma-separated numbers, got {text!r}")
+    return vals
+
+
+def _count_arg(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
 
 
 def cmd_generate(args) -> int:
@@ -153,7 +168,7 @@ def cmd_region(args) -> int:
     pipe = build_pipeline()
     region = pipe.region
     if args.check is not None:
-        y = _parse_y(args.check)
+        y = np.array(args.check)
         payload = {
             "command": "region-check",
             "y": y.tolist(),
@@ -183,7 +198,7 @@ def cmd_element(args) -> int:
     from .pipeline import build_pipeline
 
     pipe = build_pipeline()
-    y = _parse_y(args.y)
+    y = np.array(args.y)
     rng = np.random.default_rng(args.seed)
     x = rng.uniform(-0.5, 0.5, 120) if args.x_random else np.zeros(120)
     z = rng.uniform(-0.5, 0.5, 120) if args.z_random else np.zeros(120)
@@ -252,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--jacobi-full", action="store_true", help="exhaustive spinor-triple stratum")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_count_arg, default=100_000)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -261,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("region", help="torus fundamental-domain queries")
-    p.add_argument("--check", default=None, help="y1,...,y8 membership check")
-    p.add_argument("--sample", type=int, default=1)
-    p.add_argument("--report-equivalence", type=int, default=0, metavar="N")
+    p.add_argument("--check", type=_y_arg, default=None, help="y1,...,y8 membership check")
+    p.add_argument("--sample", type=_count_arg, default=1)
+    p.add_argument("--report-equivalence", type=_count_arg, default=0, metavar="N")
     common(p)
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("element", help="evaluate a chart element to a bundle")
-    p.add_argument("--y", required=True, help="y1,...,y8")
+    p.add_argument("--y", type=_y_arg, required=True, help="y1,...,y8")
     p.add_argument("--x-random", action="store_true")
     p.add_argument("--z-random", action="store_true")
     p.add_argument("--seed", type=int, default=0)

@@ -37,16 +37,31 @@ class AccumulatorOverflow(HalfIntError):
 
 
 def _as_int64_exact(arr) -> np.ndarray:
+    """arr as an int64 array (arr itself if it already is one); raises
+    unless every entry is an integer that int64 holds exactly."""
     a = np.asarray(arr)
-    if a.dtype.kind == "f":
+    kind = a.dtype.kind
+    if kind in "bi":
+        return a.astype(np.int64, copy=False)
+    if kind == "u":
+        if a.size and a.max() > np.iinfo(np.int64).max:
+            raise AccumulatorOverflow("doubled entries do not fit in int64")
+        return a.astype(np.int64)
+    if kind == "f":
         r = np.rint(a)
         if not np.array_equal(r, a):
             raise InexactDivision("non-integer doubled entries")
-        a = r
-    a = a.astype(np.int64, casting="unsafe")
-    if not np.array_equal(np.asarray(arr, dtype=object), a.astype(object)):
+        if a.size and not (-(2.0**63) <= r.min() and r.max() < 2.0**63):
+            raise AccumulatorOverflow("doubled entries do not fit in int64")
+        return r.astype(np.int64)
+    # object arrays (Python ints of any size) and anything else: round trip
+    try:
+        b = a.astype(np.int64, casting="unsafe")
+    except OverflowError:
+        raise AccumulatorOverflow("doubled entries do not fit in int64") from None
+    if not np.array_equal(a.astype(object), b.astype(object)):
         raise AccumulatorOverflow("doubled entries do not fit in int64")
-    return a
+    return b
 
 
 class HalfIntMatrix:

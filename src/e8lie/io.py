@@ -97,7 +97,10 @@ def read_bundle(header_path: str):
     if header.get("layout") != "row-major":
         raise ValueError("only row-major payloads are supported")
     rows, cols = int(header["rows"]), int(header["cols"])
-    payload_path = os.path.join(os.path.dirname(os.path.abspath(header_path)), header["payload"])
+    base = os.path.realpath(os.path.dirname(os.path.abspath(header_path)))
+    payload_path = os.path.realpath(os.path.join(base, header["payload"]))
+    if os.path.dirname(payload_path) != base:
+        raise ValueError("payload must be a file in the header's directory")
     encoding = header["encoding"]
     if encoding == "doubled-int":
         if payload_path.endswith(".csv"):
@@ -105,13 +108,17 @@ def read_bundle(header_path: str):
                 data = [[int(v) for v in line.split(",")] for line in f.read().split()]
             arr = np.array(data, dtype=np.int64)
         else:
-            raw = np.fromfile(payload_path, dtype="<i4")
-            arr = raw.astype(np.int64).reshape(rows, cols)
+            arr = _read_binary(payload_path, "<i4", rows, cols).astype(np.int64)
         if arr.shape != (rows, cols):
             raise ValueError("payload size does not match header dimensions")
         return header["name"], HalfIntMatrix(arr)
     if encoding == "f64":
-        raw = np.fromfile(payload_path, dtype="<f8")
-        arr = raw.astype(np.float64).reshape(rows, cols)
+        arr = _read_binary(payload_path, "<f8", rows, cols).astype(np.float64)
         return header["name"], arr
     raise ValueError(f"unknown encoding {encoding!r}")
+
+
+def _read_binary(path: str, dtype: str, rows: int, cols: int) -> np.ndarray:
+    if rows < 0 or cols < 0 or os.path.getsize(path) != rows * cols * np.dtype(dtype).itemsize:
+        raise ValueError("payload size does not match header dimensions")
+    return np.fromfile(path, dtype=dtype).reshape(rows, cols)

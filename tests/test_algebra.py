@@ -245,6 +245,36 @@ def test_jacobi_fault_injection_nonuniform_spinor_coeffs(spinors):
     assert sampled.first_counterexample is not None
 
 
+def test_jacobi_pairs_fault_injection_corrupted_entry(rep, tensor):
+    mats = [m.copy() for m in rep.mats]
+    bad = mats[vector_flat(1, 2)].tolil()
+    bad[5, 200] += 1
+    mats[vector_flat(1, 2)] = bad.tocsr()
+    reports = verify_jacobi(AdjointRep(mats), tensor, samples=10, seed=0)
+    jj = next(r for r in reports if r.name == "jacobi-JJ*-pairs")
+    assert not jj.passed
+    assert jj.first_counterexample == "pair (J(1,2), J(1,3))"
+
+
+def test_so16_fault_injection_names_first_bad_pair(tensor):
+    sg = tensor.sg.copy()
+    sg[vector_flat(3, 7), 5] *= -1  # one sign of Delta(3,7)
+    report = alg.verify_so16_on_spinors(StructureTensor(tensor.brackets, tensor.pi, sg))
+    assert not report.passed
+    # dense oracle on the doubled generators, in flat-index pair order
+    dense = np.zeros((120, 128, 128), dtype=np.int64)
+    for c in range(120):
+        dense[c, np.arange(128), tensor.pi[c]] = sg[c]
+    first = None
+    for a, b in ((a, b) for a in range(120) for b in range(120)):
+        cs, vs = tensor.bracket_basis(a, b)
+        rhs = np.einsum("c,cij->ij", vs, dense[cs])
+        if not np.array_equal(dense[a] @ dense[b] - dense[b] @ dense[a], rhs):
+            first = "[Delta(%d,%d), Delta(%d,%d)]" % (*alg.VECTOR_PAIRS[a], *alg.VECTOR_PAIRS[b])
+            break
+    assert report.first_counterexample == first == "[Delta(1,2), Delta(3,7)]"
+
+
 # ---------------------------------------------------------------------------
 # killing form
 

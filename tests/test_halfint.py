@@ -79,6 +79,41 @@ def test_noninteger_doubled_rejected():
         HalfIntMatrix(np.array([[0.5, 1.0], [1.0, 0.5]]))
 
 
+@pytest.mark.parametrize(
+    "doubled",
+    [
+        np.array([[-3, 127]], dtype=np.int8),
+        np.array([[-3, 2**31 - 1]], dtype=np.int32),
+        np.array([[True, False]]),
+        np.array([[0, 2**63 - 1]], dtype=np.uint64),
+        np.array([[-3.0, 2.0**62]]),
+        np.array([[-(2**63), 2**63 - 1]], dtype=object),
+        [[-(2**63), 2**63 - 1]],
+    ],
+)
+def test_exact_entries_accepted(doubled):
+    m = HalfIntMatrix(doubled)
+    assert m.doubled.dtype == np.int64
+    assert m.doubled.tolist() == np.asarray(doubled).astype(object).tolist()
+
+
+@pytest.mark.parametrize(
+    "doubled, error",
+    [
+        (np.array([[2**63]], dtype=np.uint64), AccumulatorOverflow),
+        (np.array([[2**64 - 1]], dtype=np.uint64), AccumulatorOverflow),
+        (np.array([[2**70]], dtype=object), AccumulatorOverflow),
+        ([[-(2**63) - 1]], AccumulatorOverflow),
+        (np.array([[2.0**63]]), AccumulatorOverflow),
+        (np.array([[-np.inf]]), AccumulatorOverflow),
+        (np.array([[np.nan]]), InexactDivision),
+    ],
+)
+def test_entries_outside_int64_rejected(doubled, error):
+    with pytest.raises(error):
+        HalfIntMatrix(doubled)
+
+
 def test_immutability():
     m = HalfIntMatrix.identity(3)
     with pytest.raises(ValueError):

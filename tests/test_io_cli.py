@@ -40,6 +40,32 @@ def test_bundle_int32_overflow_rejected(tmp_path):
         write_bundle(str(tmp_path / "m"), "big", m)
 
 
+@pytest.mark.parametrize("payload", ["../x.bin", "ABSOLUTE"])
+def test_bundle_payload_outside_header_dir_rejected(tmp_path, payload):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    header = write_bundle(str(sub / "m"), "m", HalfIntMatrix.identity(2))
+    outside = tmp_path / "x.bin"
+    outside.write_bytes((sub / "m.bin").read_bytes())
+    meta = json.loads(open(header).read())
+    meta["payload"] = str(outside) if payload == "ABSOLUTE" else payload
+    with open(header, "w") as f:
+        json.dump(meta, f)
+    with pytest.raises(ValueError, match="header's directory"):
+        read_bundle(header)
+
+
+@pytest.mark.parametrize("matrix", [HalfIntMatrix.identity(3), np.eye(3)])
+@pytest.mark.parametrize("extra", [-1, 1, 4])
+def test_bundle_payload_size_mismatch_rejected(tmp_path, matrix, extra):
+    header = write_bundle(str(tmp_path / "m"), "m", matrix)
+    payload = tmp_path / "m.bin"
+    data = payload.read_bytes()
+    payload.write_bytes(data[:extra] if extra < 0 else data + b"\0" * extra)
+    with pytest.raises(ValueError, match="payload size does not match header dimensions"):
+        read_bundle(header)
+
+
 def test_no_temp_files_left(tmp_path):
     m = HalfIntMatrix.identity(4)
     write_bundle(str(tmp_path / "m"), "id", m)
@@ -65,6 +91,26 @@ def test_cli_version():
 def test_cli_usage_error_exit_2():
     r = _run_cli(["frobnicate"])
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["region", "--check", "1,2,x"],
+        ["region", "--check", "0,0,0,0,0,0,0,nan"],
+        ["region", "--check", "0,0,0,0,0,0,0,0,0"],
+        ["element", "--y", "0,0,0,0,0,0,0,inf", "--out", "unused"],
+        ["region", "--sample", "-1"],
+        ["verify", "--samples", "-5"],
+    ],
+)
+def test_cli_bad_argument_exit_2(args):
+    r = _run_cli(args)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+    last = r.stderr.strip().splitlines()[-1]
+    assert last.startswith(f"e8lie {args[0]}: error: argument {args[1]}")
 
 
 def test_cli_region_check():
