@@ -32,8 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .clifford import SpinorGenerators, signed_permutation_arrays
-from .halfint import HalfIntMatrix
+from .clifford import (
+    SpinorGenerators,
+    anticommutation_failures,
+    perm_decode,
+    perm_transpose,
+    quarter_commutators,
+    sigma_arrays,
+)
+from .halfint import HalfIntMatrix, InexactDivision
 
 N_VECTOR = 16
 NV = 120
@@ -137,10 +144,8 @@ class StructureTensor:
 
     @classmethod
     def build(cls, d: SpinorGenerators) -> "StructureTensor":
-        pi = np.zeros((NV, NS), dtype=np.int64)
-        sg = np.zeros((NV, NS), dtype=np.int64)
-        for k, pair in enumerate(VECTOR_PAIRS):
-            pi[k], sg[k] = signed_permutation_arrays(d.delta[pair])
+        # pair by pair: one stacked dense copy would add 16 MB to peak memory
+        pi, sg = map(np.stack, zip(*(perm_decode(d.delta[pair].doubled) for pair in VECTOR_PAIRS)))
 
         brackets = {}
 
@@ -158,12 +163,11 @@ class StructureTensor:
                 put(a, b, s.indices[lo:hi], s.data[lo:hi])
 
         # vector-spinor: coeff of Q_beta in [J_k, Q_alpha] is (Delta_k)_{beta,alpha},
-        # nonzero exactly at beta = pinv[k, alpha]
-        pinv = np.argsort(pi, axis=1)
+        # the entry (alpha, beta) of the transpose
+        tp, ts = perm_transpose((pi, sg))
         for k in range(NV):
             for alpha in range(NS):
-                beta = pinv[k, alpha]
-                put(k, NV + alpha, [NV + beta], [sg[k, beta]])
+                put(k, NV + alpha, [NV + tp[k, alpha]], [ts[k, alpha]])
 
         # spinor-spinor: coeff of J_k in [Q_alpha, Q_beta] is -(Delta_k)_{alpha,beta};
         # each permutation is a fixed-point-free involution, so restricting to
@@ -260,27 +264,16 @@ def build_display_blocks(d: SpinorGenerators) -> list[sp.csr_matrix]:
     factor against the canonical adjoint.
     """
     t = StructureTensor.build(d)
-    pi, sg = t.pi, t.sg
     # vector blocks: identical content to the canonical ad(J_ij)
     out = AdjointRep.build(t).mats[:NV]
-    # spinor blocks with the explicit factor 4 and minus sign
-    for alpha in range(NS):
-        r, c, v = [], [], []
-        for k in range(NV):
-            beta = int(pi[k, alpha])
-            s = int(sg[k, alpha])
-            # (vector-row k, spinor-col beta): 4 * (Delta_k)_{alpha, beta}
-            r.append(k)
-            c.append(NV + beta)
-            v.append(4 * s)
-            # (spinor-row gamma, vector-col k): -4 * (Delta_k)_{alpha, gamma}
-            r.append(NV + beta)
-            c.append(k)
-            v.append(-4 * s)
-        out.append(
-            sp.csr_matrix((np.array(v, dtype=np.int64), (r, c)), shape=(DIM, DIM))
-        )
-    return out
+    # spinor blocks with the explicit factor 4 and minus sign: in the block
+    # of Q_alpha, entry (vector-row k, spinor-col beta) is
+    # 4 * (Delta_k)_{alpha, beta} and (spinor-row beta, vector-col k) its negative
+    k = np.arange(NV)
+    return out + [
+        sp.csr_matrix((np.r_[4 * s, -4 * s], (np.r_[k, b], np.r_[b, k])), shape=(DIM, DIM))
+        for b, s in zip(NV + t.pi.T, t.sg.T)
+    ]
 
 
 def display_block_relation(rep: AdjointRep, blocks) -> tuple[bool, int]:
@@ -441,72 +434,50 @@ def verify_chirality_consistency(g) -> SuiteReport:
     """The paired generators on the negative chirality also satisfy so(16).
 
     Delta'_ij = (1/4)(Sigma_i^T Sigma_j - Sigma_j^T Sigma_i) must obey the
-    same commutation rule, which pins the block convention down.
+    same commutation rule, which pins the block convention down.  Delta' is
+    formed from both terms on the permutation arrays of the blocks; a pair
+    whose terms do not cancel to 1/2 * signed permutation raises.
     """
-    pi = np.zeros((NV, NS), dtype=np.int64)
-    sg = np.zeros((NV, NS), dtype=np.int64)
-    for k, (i, j) in enumerate(VECTOR_PAIRS):
-        si, sj = g.sigma[i - 1], g.sigma[j - 1]
-        d = ((si.T @ sj) - (sj.T @ si)).scale_half().scale_half()
-        pi[k], sg[k] = signed_permutation_arrays(d)
+    pi, sg = quarter_commutators(perm_transpose(sigma_arrays(g)))
+    if not sg.all():
+        raise ValueError("Delta' is not 1/2 * a signed permutation")
     return _verify_eq1_family(pi, sg, "so16-spinor-rep-negative-chirality")
 
 
 def verify_clifford_pairs(g) -> list[SuiteReport]:
     """Exact anticommutation over all 136 unordered pairs, both families,
-    plus the signed-permutation shape of every block."""
+    plus the signed-permutation shape of every block.
+
+    Each block is decoded once; a block that is not a signed permutation
+    fails the shape stratum and every pair of both families that contains it.
+    """
+    t0 = time.time()
+    perm = np.tile(np.arange(NS), (N_VECTOR, 1))
+    sign = np.ones((N_VECTOR, NS), dtype=np.int64)
+    bad = np.zeros(N_VECTOR, dtype=bool)
+    for i, s in enumerate(g.sigma):
+        try:
+            perm[i], sign[i] = perm_decode(s.scale_half().doubled)
+        except (ValueError, InexactDivision):
+            bad[i] = True
+    first = f"Sigma_{np.argmax(bad) + 1}" if bad.any() else None
+    shape = SuiteReport(
+        "clifford-signed-permutation", N_VECTOR, int(bad.sum()), first, time.time() - t0
+    )
+
+    iu = np.triu_indices(N_VECTOR)
     reports = []
-    eye2 = HalfIntMatrix(4 * np.eye(NS, dtype=np.int64))  # 2 * identity
-    zero = HalfIntMatrix.zeros(NS, NS)
-
-    t0 = time.time()
-    failures = 0
-    first = None
-    for i in range(N_VECTOR):
-        for j in range(i, N_VECTOR):
-            si, sj = g.sigma[i], g.sigma[j]
-            want = eye2 if i == j else zero
-            if (si @ sj.T) + (sj @ si.T) != want:
-                failures += 1
-                if first is None:
-                    first = f"Sigma_{i+1} Sigma_{j+1}^T + Sigma_{j+1} Sigma_{i+1}^T"
-    reports.append(
-        SuiteReport("clifford-anticommutation", 136, failures, first, time.time() - t0)
-    )
-
-    t0 = time.time()
-    failures = 0
-    first = None
-    for i in range(N_VECTOR):
-        for j in range(i, N_VECTOR):
-            si, sj = g.sigma[i], g.sigma[j]
-            want = eye2 if i == j else zero
-            if (si.T @ sj) + (sj.T @ si) != want:
-                failures += 1
-                if first is None:
-                    first = f"Sigma_{i+1}^T Sigma_{j+1} + Sigma_{j+1}^T Sigma_{i+1}"
-    reports.append(
-        SuiteReport("clifford-anticommutation-transposed", 136, failures, first, time.time() - t0)
-    )
-
-    t0 = time.time()
-    failures = 0
-    first = None
-    for i, s in enumerate(g.sigma, start=1):
-        d = s.doubled
-        ok = (
-            np.isin(d, (-2, 0, 2)).all()
-            and (np.abs(d).sum(axis=0) == 2).all()
-            and (np.abs(d).sum(axis=1) == 2).all()
-        )
-        if not ok:
-            failures += 1
-            if first is None:
-                first = f"Sigma_{i}"
-    reports.append(
-        SuiteReport("clifford-signed-permutation", N_VECTOR, failures, first, time.time() - t0)
-    )
-    return reports
+    for name, x, label in (
+        ("clifford-anticommutation", (perm, sign),
+         "Sigma_{i} Sigma_{j}^T + Sigma_{j} Sigma_{i}^T"),
+        ("clifford-anticommutation-transposed", perm_transpose((perm, sign)),
+         "Sigma_{i}^T Sigma_{j} + Sigma_{j}^T Sigma_{i}"),
+    ):
+        t0 = time.time()
+        fail = np.flatnonzero((anticommutation_failures(x) | bad[:, None] | bad[None, :])[iu])
+        first = label.format(i=iu[0][fail[0]] + 1, j=iu[1][fail[0]] + 1) if len(fail) else None
+        reports.append(SuiteReport(name, len(iu[0]), len(fail), first, time.time() - t0))
+    return reports + [shape]
 
 
 def verify_jacobi(
@@ -522,10 +493,10 @@ def verify_jacobi(
     generator in the first two slots, i.e. the exhaustive JJJ, JJQ and JQQ
     strata) use the pair reduction: [[X,Y],Z] + cyc = 0 for all Z is
     equivalent to ad([X,Y]) = [ad X, ad Y] as 248x248 matrices, checked
-    exactly per pair.  The QQQ stratum is sampled (n seeded triples) by
-    direct evaluation of the cyclic sum; full_spinor additionally runs the
-    exhaustive QQQ scan over all 8128 (alpha < beta) pairs against all 128
-    gamma simultaneously.
+    exactly per pair.  The QQQ stratum is always scanned exhaustively, all
+    8128 (alpha < beta) pairs against all 128 gamma simultaneously; the
+    sampled report (n seeded triples) is read off the scan's failure table,
+    and full_spinor also reports the scan itself.
     """
     reports = _pair_suites(
         rep.mats,
@@ -539,83 +510,56 @@ def verify_jacobi(
 
     # per-entry arrays sourced from the *stored* tensor coefficients, so a
     # corrupted tensor fails these strata
-    tb = np.zeros((NV, NS), dtype=np.int64)  # [J_k, Q_a] target spinor
-    tv = np.zeros((NV, NS), dtype=np.int64)  # and its doubled coefficient
-    for k in range(NV):
-        for alpha in range(NS):
-            cs, vs = t.brackets[(k, NV + alpha)]
-            tb[k, alpha] = cs[0] - NV
-            tv[k, alpha] = vs[0]
+    jq = [t.brackets[(k, NV + alpha)] for k in range(NV) for alpha in range(NS)]
+    tb = np.array([cs[0] for cs, _ in jq]).reshape(NV, NS) - NV  # [J_k, Q_a] target spinor
+    tv = np.array([vs[0] for _, vs in jq]).reshape(NV, NS)  # and its doubled coefficient
     gk = np.zeros((NS, NV), dtype=np.int64)  # partner of a in [Q_a, .] for J_k
     fk = np.zeros((NS, NV), dtype=np.int64)  # and the stored doubled coefficient
-    qql = {}
     for (a, b), (cs, vs) in t.brackets.items():
         if a >= NV:
             al, be = a - NV, b - NV
-            qql[(al, be)] = (cs, vs)
             for c, v in zip(cs, vs):
                 gk[al, c] = be
                 fk[al, c] = v
                 gk[be, c] = al
                 fk[be, c] = -v
 
-    def qq_terms(x, y):
-        if x < y:
-            return qql.get((x, y), (np.empty(0, np.int64), np.empty(0, np.int64)))
-        if x > y:
-            cs, vs = qql.get((y, x), (np.empty(0, np.int64), np.empty(0, np.int64)))
-            return cs, -vs
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-
-    # sampled QQQ triples: the cyclic sum of [[Q,Q],Q] against the tensor
+    # exhaustive QQQ scan: fail[al, be, ga] (al < be) marks a nonzero
+    # cyclic sum of [[Q_al, Q_be], Q_ga] against the tensor
     t0 = time.time()
+    fail = np.zeros((NS, NS, NS), dtype=bool)
+    ar = np.arange(NS)
+    karr = np.arange(NV)
+    for al in range(NS):
+        for be in range(al + 1, NS):
+            tot = np.zeros((NS, NS), dtype=np.int64)
+            for k, v in zip(*t.brackets.get((NV + al, NV + be), ((), ()))):
+                # [[Q_al, Q_be], Q_g]_d = sum_k v_k [J_k, Q_g]_d
+                tot[ar, tb[k]] += int(v) * tv[k]
+            # [[Q_be, Q_g], Q_al]: nonzero at g = gk[be, k]
+            np.add.at(tot, (gk[be], tb[karr, al]), fk[be] * tv[karr, al])
+            # [[Q_g, Q_al], Q_be]: nonzero at g = gk[al, k], coeff -fk[al, k]
+            np.add.at(tot, (gk[al], tb[karr, be]), -fk[al] * tv[karr, be])
+            fail[al, be] = tot.any(axis=1)
+    full_s = time.time() - t0
+
+    # sampled QQQ triples, read off the scan: with the stored table
+    # antisymmetric the cyclic sum is totally antisymmetric, so a triple
+    # fails iff its sorted form does, and one with a repeated index sums to 0
     rng = np.random.default_rng(seed)
-    failures = 0
-    first = None
     triples = rng.integers(0, NS, size=(samples, 3))
-    for al, be, ga in triples:
-        out = np.zeros(NS, dtype=np.int64)
-        for (x, y, z) in ((al, be, ga), (be, ga, al), (ga, al, be)):
-            ks, vs = qq_terms(int(x), int(y))
-            if len(ks):
-                np.add.at(out, tb[ks, z], vs * tv[ks, z])
-        if out.any():
-            failures += 1
-            if first is None:
-                first = f"triple (Q({al+1}), Q({be+1}), Q({ga+1}))"
+    x, y, z = np.sort(triples, axis=1).T
+    bad = np.flatnonzero((x < y) & (y < z) & fail[x, y, z])
+    first = "triple (Q(%d), Q(%d), Q(%d))" % tuple(triples[bad[0]] + 1) if len(bad) else None
     reports.append(
-        SuiteReport("jacobi-QQQ-sampled", samples, failures, first, time.time() - t0)
+        SuiteReport("jacobi-QQQ-sampled", samples, len(bad), first, time.time() - t0)
     )
 
     if full_spinor:
-        t0 = time.time()
-        failures = 0
-        first = None
-        ar = np.arange(NS)
-        karr = np.arange(NV)
-        for al in range(NS):
-            for be in range(al + 1, NS):
-                tot = np.zeros((NS, NS), dtype=np.int64)
-                ks, vs = qq_terms(al, be)
-                for k, v in zip(ks, vs):
-                    # [[Q_al, Q_be], Q_g]_d = sum_k v_k [J_k, Q_g]_d
-                    tot[ar, tb[k]] += int(v) * tv[k]
-                # [[Q_be, Q_g], Q_al]: nonzero at g = gk[be, k]
-                np.add.at(tot, (gk[be], tb[karr, al]), fk[be] * tv[karr, al])
-                # [[Q_g, Q_al], Q_be]: nonzero at g = gk[al, k], coeff -fk[al, k]
-                np.add.at(tot, (gk[al], tb[karr, be]), -fk[al] * tv[karr, be])
-                if tot.any():
-                    failures += 1
-                    if first is None:
-                        first = f"pair (Q({al+1}), Q({be+1})) against all Q"
+        bad = np.argwhere(fail.any(axis=2))
+        first = "pair (Q(%d), Q(%d)) against all Q" % tuple(bad[0] + 1) if len(bad) else None
         reports.append(
-            SuiteReport(
-                "jacobi-QQQ-full",
-                NS * (NS - 1) // 2,
-                failures,
-                first,
-                time.time() - t0,
-            )
+            SuiteReport("jacobi-QQQ-full", NS * (NS - 1) // 2, len(bad), first, full_s)
         )
     return reports
 
@@ -739,17 +683,15 @@ def modp_rank(mat: np.ndarray, p: int = 1_000_003) -> int:
     return r
 
 
-def adjoint_rank(rep: AdjointRep, p: int = 1_000_003, seed: int = 12345) -> int:
-    """Exact rank of the 248 x 61504 flattened adjoint system.
+def adjoint_rank(rep: AdjointRep, p: int = 1_000_003) -> int:
+    """Exact rank of the 248 x 61504 flattened adjoint system F.
 
-    Uses a deterministic random projection to 248 x 264 over GF(p); a full
-    projected rank certifies rank 248 over the rationals.
+    Over the rationals rank(F F^T) = rank(F), and a rank over GF(p) is at
+    most the rational one, so a full mod-p rank of the exact 248 x 248 Gram
+    matrix F F^T certifies rank 248.
     """
-    rng = np.random.default_rng(seed)
-    proj = rng.integers(0, p, size=(DIM * DIM, 264), dtype=np.int64)
     flat = sp.vstack([m.reshape(1, DIM * DIM) for m in rep.mats]).tocsr()
-    b = np.asarray(flat @ proj, dtype=np.int64)
-    return modp_rank(b, p)
+    return modp_rank((flat @ flat.T).toarray(), p)
 
 
 def centralizer_dimension(rep: AdjointRep, cartan: CartanSet, p: int = 1_000_003) -> int:

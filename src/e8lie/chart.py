@@ -50,8 +50,7 @@ class TorusRegion:
 
 def in_region_roots(y, region: TorusRegion) -> bool:
     """True iff all nine constraints 0 <= <row, y> < pi hold."""
-    vals = region.all_rows() @ np.asarray(y, dtype=np.float64)
-    return bool(np.all(vals >= 0.0) and np.all(vals < PI))
+    return bool(in_region_roots_batch(np.asarray(y, dtype=np.float64)[None, :], region)[0])
 
 
 def in_region_roots_batch(ys: np.ndarray, region: TorusRegion) -> np.ndarray:
@@ -61,29 +60,11 @@ def in_region_roots_batch(ys: np.ndarray, region: TorusRegion) -> np.ndarray:
 
 def in_region_solved(y) -> bool:
     """The solved chain form, with its bounds exactly as conventionally printed."""
-    y1, y2, y3, y4, y5, y6, y7, y8 = (float(v) for v in y)
-    if not (0.0 <= y1 < PI / 6):
-        return False
-    if not (y1 <= y2 < (PI + y1) / 7):
-        return False
-    if not (y2 <= y3 < (PI + y1 - y2) / 6):
-        return False
-    if not (y3 <= y4 < (PI + y1 - y2 - y3) / 5):
-        return False
-    if not (y4 <= y5 < (PI + y1 - y2 - y3 - y4) / 4):
-        return False
-    if not (y5 <= y6 < (PI + y1 - y2 - y3 - y4 - y5) / 3):
-        return False
-    if not (y6 <= y7 < (PI + y1 - y2 - y3 - y4 - y5 - y6) / 2):
-        return False
-    if not (-y1 + y2 + y3 + y4 + y5 + y6 + y7 <= y8 < PI - y7):
-        return False
-    return True
+    return bool(in_region_solved_batch(np.asarray(y, dtype=np.float64)[None, :])[0])
 
 
 def in_region_solved_batch(ys: np.ndarray) -> np.ndarray:
-    y = np.asarray(ys, dtype=np.float64)
-    y1, y2, y3, y4, y5, y6, y7, y8 = (y[:, i] for i in range(8))
+    y1, y2, y3, y4, y5, y6, y7, y8 = np.asarray(ys, dtype=np.float64).T
     ok = (0.0 <= y1) & (y1 < PI / 6)
     ok &= (y1 <= y2) & (y2 < (PI + y1) / 7)
     ok &= (y2 <= y3) & (y3 < (PI + y1 - y2) / 6)

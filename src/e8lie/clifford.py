@@ -5,8 +5,14 @@ copies of the octonionic Hurwitz family: octonion left multiplications give
 seven anticommuting antisymmetric complex structures on R^8, those extend
 to the eight symmetric 16x16 gamma matrices of the 8-dimensional Clifford
 algebra, and two such systems combine into sixteen symmetric 256x256 gamma
-matrices whose chirality splitting is diagonal in the tensor basis.  All
-factors are signed permutation matrices, so the blocks stay exact.
+matrices whose chirality splitting is diagonal in the tensor basis.
+
+All factors are signed permutations, so the blocks and the generators
+Delta_ij are built and checked as permutation arrays: int64 pairs
+(perm, sign) with M[r, perm[r]] = sign[r], stacked along leading axes.
+perm_decode is the one decoder from dense arrays; HalfIntMatrix values are
+formed once for the public types, and the dense halfint kernel is the
+independent oracle of the tests.
 
 Correctness is defined by the machine-checked invariants (signed
 permutation shape and the two anticommutation families), not by any
@@ -17,10 +23,11 @@ the first failing pair on any violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .halfint import HalfIntMatrix
+from .halfint import HalfIntMatrix, InexactDivision
 
 N_VECTOR = 16
 SPINOR_DIM = 128
@@ -59,6 +66,87 @@ def _cl8_gammas() -> list[np.ndarray]:
     return gammas
 
 
+def perm_decode(m) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, sign) of dense signed permutation matrices stacked on leading axes.
+
+    Raises ValueError unless every entry is -1, 0 or 1 with exactly one
+    nonzero in each row and in each column.
+    """
+    m = np.asarray(m)
+    if not np.isin(m, (-1, 0, 1)).all():
+        raise ValueError("not a signed permutation matrix")
+    a = np.abs(m)
+    if (a.sum(axis=-1) != 1).any() or (a.sum(axis=-2) != 1).any():
+        raise ValueError("rows/columns are not 1-sparse")
+    perm = a.argmax(axis=-1)
+    sign = np.take_along_axis(m, perm[..., None], axis=-1)[..., 0]
+    return perm.astype(np.int64), sign.astype(np.int64)
+
+
+def perm_compose(x, y):
+    """The product x @ y; leading axes broadcast."""
+    p, s, q, t = np.broadcast_arrays(*x, *y)
+    return np.take_along_axis(q, p, axis=-1), s * np.take_along_axis(t, p, axis=-1)
+
+
+def perm_transpose(x):
+    """The transpose (= inverse) of x."""
+    p, s = x
+    inv = np.argsort(p, axis=-1)
+    return inv, np.take_along_axis(s, inv, axis=-1)
+
+
+def perm_kron(x, y):
+    """The Kronecker product np.kron(x, y); leading axes broadcast."""
+    (p, s), (q, t) = x, y
+    perm = p[..., :, None] * q.shape[-1] + q[..., None, :]
+    sign = s[..., :, None] * t[..., None, :]
+    return perm.reshape(*perm.shape[:-2], -1), sign.reshape(*sign.shape[:-2], -1)
+
+
+def perm_dense(x) -> np.ndarray:
+    """The dense int64 matrices of x (a zero sign gives a zero row)."""
+    p, s = x
+    out = np.zeros(p.shape + p.shape[-1:], dtype=np.int64)
+    np.put_along_axis(out, p[..., None], s[..., None], axis=-1)
+    return out
+
+
+def _pair_products(x):
+    """x_i x_j^T for every ordered pair (i, j) of the stack x."""
+    p, s = x
+    q, t = perm_transpose(x)
+    return perm_compose((p[:, None], s[:, None]), (q[None], t[None]))
+
+
+def anticommutation_failures(x) -> np.ndarray:
+    """fail[i, j]: x_i x_j^T + x_j x_i^T != 2 delta_ij I, for a stack x.
+
+    Both products are formed: two signed permutations sum to zero exactly
+    when their perms agree and their signs are opposite, and on the diagonal
+    the sum 2 x_i x_i^T is 2I exactly when x_i x_i^T is the identity.
+    """
+    p, s = _pair_products(x)
+    q, t = p.swapaxes(0, 1), s.swapaxes(0, 1)
+    two_i = (p == np.arange(p.shape[-1])) & (s == 1)
+    zero = (p == q) & (s == -t)
+    return ~np.where(np.eye(len(p), dtype=bool)[..., None], two_i, zero).all(axis=-1)
+
+
+def quarter_commutators(x):
+    """(1/4)(x_i x_j^T - x_j x_i^T) for i < j in lexicographic pair order.
+
+    Returned as the doubled (perm, sign) of 1/2 * signed permutation, with
+    sign 0 where the two terms cancel.  Raises InexactDivision where the
+    nonzeros of the two terms differ: the result then has entries of 1/4.
+    """
+    p, s = _pair_products(x)
+    i, j = np.triu_indices(len(p), 1)
+    if (p[i, j] != p[j, i]).any():
+        raise InexactDivision("division by 2 leaves the half-integer lattice")
+    return p[i, j], (s[i, j] - s[j, i]) // 2
+
+
 @dataclass(frozen=True)
 class GammaSystem:
     """The sixteen chirality blocks mapping the positive to the negative spinors."""
@@ -81,83 +169,66 @@ class SpinorGenerators:
     delta: dict[tuple[int, int], HalfIntMatrix]
 
 
-def _is_signed_permutation(m: np.ndarray) -> bool:
-    if not np.isin(m, (-1, 0, 1)).all():
-        return False
-    return (np.abs(m).sum(axis=0) == 1).all() and (np.abs(m).sum(axis=1) == 1).all()
+def sigma_arrays(g: GammaSystem):
+    """The sixteen blocks as one stacked (perm, sign); raises ValueError or
+    InexactDivision unless every block is a signed permutation."""
+    return perm_decode(np.stack([s.scale_half().doubled for s in g.sigma]))
 
 
 def build_gamma_system(self_check: bool = True) -> GammaSystem:
     """Construct the sixteen blocks and verify both anticommutation families."""
-    alphas = _cl8_gammas()
-    omega8 = alphas[0]
-    for a in alphas[1:]:
-        omega8 = omega8 @ a
+    try:
+        alphas = perm_decode(np.stack(_cl8_gammas()))
+    except ValueError:
+        raise GammaConstructionError("the Cl(8) gammas are not signed permutations") from None
+    omega8 = reduce(perm_compose, zip(*alphas))
+    eye16 = (np.arange(16), np.ones(16, dtype=np.int64))
+    gp, gs = map(np.concatenate, zip(perm_kron(alphas, eye16), perm_kron(omega8, alphas)))
 
-    eye16 = np.eye(16, dtype=np.int64)
-    gammas = [np.kron(a, eye16) for a in alphas]
-    gammas += [np.kron(omega8, b) for b in alphas]
-
-    omega16 = np.kron(omega8, omega8)
-    if not np.array_equal(omega16, np.diag(np.diagonal(omega16))):
+    wp, chi = perm_kron(omega8, omega8)
+    if (wp != np.arange(len(wp))).any():
         raise GammaConstructionError("chirality element is not diagonal")
-    diag = np.diagonal(omega16)
-    pos = np.flatnonzero(diag == 1)
-    neg = np.flatnonzero(diag == -1)
+    pos = np.flatnonzero(chi == 1)
+    neg = np.flatnonzero(chi == -1)
     if len(pos) != SPINOR_DIM or len(neg) != SPINOR_DIM:
         raise GammaConstructionError("chirality eigenspaces are not 128 + 128")
 
-    sigma_raw = [g[np.ix_(pos, neg)] for g in gammas]
+    # Sigma_i is gamma_i restricted to positive rows and negative columns,
+    # a signed permutation only if gamma_i exchanges the chiralities
+    for i, p in enumerate(gp, start=1):
+        if (chi[p] == chi).any():
+            raise GammaConstructionError(f"gamma_{i} does not exchange chiralities")
+    column = np.zeros(len(chi), dtype=np.int64)
+    column[neg] = np.arange(SPINOR_DIM)
+    sigma = column[gp[:, pos]], gs[:, pos]
 
     if self_check:
-        for i, g in enumerate(gammas, start=1):
-            if g[np.ix_(pos, pos)].any() or g[np.ix_(neg, neg)].any():
-                raise GammaConstructionError(f"gamma_{i} does not exchange chiralities")
-        for i, s in enumerate(sigma_raw, start=1):
-            if not _is_signed_permutation(s):
-                raise GammaConstructionError(f"Sigma_{i} is not a signed permutation")
-        for i in range(N_VECTOR):
-            for j in range(i, N_VECTOR):
-                want = 2 * np.eye(SPINOR_DIM, dtype=np.int64) if i == j else 0
-                lhs = sigma_raw[i] @ sigma_raw[j].T + sigma_raw[j] @ sigma_raw[i].T
-                if not np.array_equal(lhs, np.broadcast_to(want, lhs.shape)):
-                    raise GammaConstructionError(
-                        f"Sigma_{i + 1} Sigma_{j + 1}^T anticommutation failed"
-                    )
-                lhs = sigma_raw[i].T @ sigma_raw[j] + sigma_raw[j].T @ sigma_raw[i]
-                if not np.array_equal(lhs, np.broadcast_to(want, lhs.shape)):
-                    raise GammaConstructionError(
-                        f"Sigma_{i + 1}^T Sigma_{j + 1} anticommutation failed"
-                    )
+        fail = anticommutation_failures(sigma)
+        fail_t = anticommutation_failures(perm_transpose(sigma))
+        for i, j in zip(*np.triu_indices(N_VECTOR)):
+            if fail[i, j]:
+                raise GammaConstructionError(f"Sigma_{i + 1} Sigma_{j + 1}^T anticommutation failed")
+            if fail_t[i, j]:
+                raise GammaConstructionError(f"Sigma_{i + 1}^T Sigma_{j + 1} anticommutation failed")
 
-    return GammaSystem(sigma=tuple(HalfIntMatrix.from_true_ints(s) for s in sigma_raw))
+    return GammaSystem(sigma=tuple(HalfIntMatrix.from_true_ints(s) for s in perm_dense(sigma)))
 
 
 def spinor_generators(g: GammaSystem) -> SpinorGenerators:
     """Delta_ij = (1/4)(Sigma_i Sigma_j^T - Sigma_j Sigma_i^T) for i < j."""
-    delta = {}
-    for i in range(N_VECTOR):
-        si = g.sigma[i]
-        for j in range(i + 1, N_VECTOR):
-            sj = g.sigma[j]
-            d = ((si @ sj.T) - (sj @ si.T)).scale_half().scale_half()
-            delta[(i + 1, j + 1)] = d
-    return SpinorGenerators(delta=delta)
+    perm, sign = quarter_commutators(sigma_arrays(g))
+    pairs = zip(*np.triu_indices(N_VECTOR, 1))
+    # pair by pair: one stacked dense copy would add 16 MB to peak memory
+    return SpinorGenerators(delta={
+        (int(i) + 1, int(j) + 1): HalfIntMatrix(perm_dense((p, s)))
+        for (i, j), p, s in zip(pairs, perm, sign)
+    })
 
 
 def signed_permutation_arrays(m: HalfIntMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(targets, signs) for a matrix that is 1/2 * signed permutation.
 
     Row r of the doubled storage has exactly one nonzero entry +-1 at column
-    targets[r] with sign signs[r].  Used as the exact fast path for the
-    exhaustive relation checks; validated against dense arithmetic in tests.
+    targets[r] with sign signs[r]; raises ValueError otherwise.
     """
-    d = m.doubled
-    if not np.isin(d, (-1, 0, 1)).all():
-        raise ValueError("not a half-signed-permutation matrix")
-    ad = np.abs(d)
-    if (ad.sum(axis=1) != 1).any() or (ad.sum(axis=0) != 1).any():
-        raise ValueError("rows/columns are not 1-sparse")
-    targets = np.argmax(ad, axis=1)
-    signs = d[np.arange(d.shape[0]), targets]
-    return targets.astype(np.int64), signs.astype(np.int64)
+    return perm_decode(m.doubled)

@@ -243,6 +243,22 @@ def test_jacobi_fault_injection_nonuniform_spinor_coeffs(spinors):
     sampled = next(r for r in reports if r.name == "jacobi-QQQ-sampled")
     assert not sampled.passed
     assert sampled.first_counterexample is not None
+    # the report equals a direct evaluation of the same seeded triples
+    triples = np.random.default_rng(0).integers(0, 128, size=(500, 3))
+    bad = [tr for tr in triples if _qqq_cyclic_sum(t, *(int(v) for v in tr)).any()]
+    assert sampled.failures == len(bad)
+    assert sampled.first_counterexample == "triple (Q(%d), Q(%d), Q(%d))" % tuple(bad[0] + 1)
+
+
+def _qqq_cyclic_sum(t, x, y, z):
+    """4x the true [[Q_x, Q_y], Q_z] + cyclic, from the stored brackets."""
+    acc = np.zeros(248, dtype=np.int64)
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        ks, vs = t.bracket_basis(120 + a, 120 + b)
+        for k, v in zip(ks, vs):
+            ds, ws = t.bracket_basis(int(k), 120 + c)
+            acc[ds] += v * ws
+    return acc
 
 
 def test_jacobi_pairs_fault_injection_corrupted_entry(rep, tensor):
@@ -339,6 +355,9 @@ def test_centralizer_dimension(rep, cartan):
 
 def test_adjoint_rank(rep):
     assert adjoint_rank(rep) == 248
+    mats = list(rep.mats)
+    mats[200] = mats[7]
+    assert adjoint_rank(AdjointRep(mats)) == 247
 
 
 def test_backtracking_finds_a_set(tensor):
