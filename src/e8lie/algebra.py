@@ -18,6 +18,12 @@ Delta_ij on the spinor block.  The -4 scaling on the odd blocks of the
 alternative "display" generators is preserved by build_display_blocks and
 measured by display_block_relation.
 
+The structure constants exist once, as the bracket table of
+StructureTensor: four aligned int64 arrays (a, b, c, v) with one entry per
+nonzero doubled coefficient v of basis_c in [basis_a, basis_b], a < b,
+sorted by (a, b, c).  The adjoint matrices, the display blocks and the
+Jacobi tables are read off it by array operations.
+
 Every pair suite (the defining relations, the Jacobi pair strata and both
 so(16) spinor checks) runs through one exact sparse engine, _pair_failures,
 whose right-hand sides come from the stored bracket table or, for the
@@ -108,93 +114,86 @@ class AlgebraElement:
         return not self.coeffs.any()
 
 
-def _so16_structure() -> list[sp.csr_matrix]:
-    """The so(16) rule as 120 doubled structure matrices.
+def _so16_structure() -> sp.csr_matrix:
+    """The so(16) rule as 120 doubled structure matrices, stacked.
 
-    Entry (c, b) of the a-th matrix is twice the coefficient of J_c in
+    Entry (a*120 + c, b) is twice the coefficient of J_c in
     [J_a, J_b] = d_jk J_il - d_jl J_ik - d_ik J_jl + d_il J_jk, where
     J_a = J_ij, J_b = J_kl and J_qp = -J_pq.
     """
-    out = []
-    for i, j in VECTOR_PAIRS:
-        rows, cols, vals = [], [], []
-        for b, (k, l) in enumerate(VECTOR_PAIRS):
-            for hit, p, q, v in ((j == k, i, l, 2), (j == l, i, k, -2),
-                                 (i == k, j, l, -2), (i == l, j, k, 2)):
-                if hit and p != q:
-                    rows.append(PAIR_INDEX[(min(p, q), max(p, q))])
-                    cols.append(b)
-                    vals.append(v if p < q else -v)
-        out.append(sp.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)), shape=(NV, NV)))
-    return out
+    ij = np.array(VECTOR_PAIRS)
+    flat = np.zeros((N_VECTOR + 1, N_VECTOR + 1), dtype=np.int64)
+    flat[ij[:, 0], ij[:, 1]] = flat[ij[:, 1], ij[:, 0]] = np.arange(NV)
+    (i, j), (k, l) = ij.T[:, :, None], ij.T[:, None, :]
+    a, b = np.indices((NV, NV))
+    rows, cols, vals = [], [], []
+    for hit, p, q, v in ((j == k, i, l, 2), (j == l, i, k, -2),
+                         (i == k, j, l, -2), (i == l, j, k, 2)):
+        p, q = np.broadcast_arrays(p, q)
+        hit = hit & (p != q)
+        p, q = p[hit], q[hit]
+        rows.append(a[hit] * NV + flat[p, q])
+        cols.append(b[hit])
+        vals.append(np.where(p < q, v, -v))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(NV * NV, NV)
+    )
 
 
 class StructureTensor:
-    """Sparse bracket table (A, B) with A < B -> list of (C, doubled coeff).
+    """The bracket table: four aligned, read-only int64 arrays a, b, c, v.
 
-    Antisymmetry is implicit: only A < B is stored.  The per-pair arrays of
-    the 120 half-signed-permutation matrices Delta_ij are kept alongside as
-    the exact fast path for the so(16) spinor check and the Cartan search.
+    Entry n says that v[n] is the doubled coefficient of basis_c[n] in
+    [basis_a[n], basis_b[n]], one entry per nonzero coefficient.  Only pairs
+    with a < b are stored, so the table is antisymmetric by construction;
+    it is sorted by (a, b, c).  The per-pair arrays of the 120
+    half-signed-permutation matrices Delta_ij are kept alongside as the
+    exact fast path for the so(16) spinor check and the Cartan search.
     """
 
-    def __init__(self, brackets, pi, sg):
-        self.brackets = brackets  # dict[(a, b)] -> (targets int64[], coeffs int64[])
-        self.pi = pi              # [120, 128] column of the nonzero in row alpha of 2*Delta_k
-        self.sg = sg              # [120, 128] its sign
+    def __init__(self, a, b, c, v, pi, sg):
+        table = [np.array(x, dtype=np.int64) for x in (a, b, c, v)]
+        for x in table:
+            x.setflags(write=False)
+        self.a, self.b, self.c, self.v = table
+        self.pi = pi  # [120, 128] column of the nonzero in row alpha of 2*Delta_k
+        self.sg = sg  # [120, 128] its sign
+        self._pairs = self.a * DIM + self.b  # sorted search keys of bracket_basis
 
     @classmethod
     def build(cls, d: SpinorGenerators) -> "StructureTensor":
         # pair by pair: one stacked dense copy would add 16 MB to peak memory
         pi, sg = map(np.stack, zip(*(perm_decode(d.delta[pair].doubled) for pair in VECTOR_PAIRS)))
 
-        brackets = {}
-
-        def put(a, b, cs, vs):
-            if len(cs):
-                brackets[(a, b)] = (np.asarray(cs, dtype=np.int64), np.asarray(vs, dtype=np.int64))
-
-        # vector-vector from the so(16) rule; column b of the a-th matrix,
-        # rows sorted, is [J_a, J_b]
-        for a, s in enumerate(_so16_structure()):
-            s = s.tocsc()
-            s.sort_indices()
-            for b in range(a + 1, NV):
-                lo, hi = s.indptr[b], s.indptr[b + 1]
-                put(a, b, s.indices[lo:hi], s.data[lo:hi])
+        # vector-vector from the so(16) rule
+        vv = _so16_structure().tocoo()
+        va, vc = np.divmod(vv.row, NV)
+        up = va < vv.col
 
         # vector-spinor: coeff of Q_beta in [J_k, Q_alpha] is (Delta_k)_{beta,alpha},
         # the entry (alpha, beta) of the transpose
         tp, ts = perm_transpose((pi, sg))
-        for k in range(NV):
-            for alpha in range(NS):
-                put(k, NV + alpha, [NV + tp[k, alpha]], [ts[k, alpha]])
+        k, alpha = np.divmod(np.arange(NV * NS), NS)
 
         # spinor-spinor: coeff of J_k in [Q_alpha, Q_beta] is -(Delta_k)_{alpha,beta};
-        # each permutation is a fixed-point-free involution, so restricting to
-        # alpha < pi_k(alpha) visits every (k, unordered pair) exactly once,
-        # with k increasing
-        qq = {}
-        for k in range(NV):
-            for alpha in range(NS):
-                beta = int(pi[k, alpha])
-                if alpha < beta:
-                    cs, vs = qq.setdefault((alpha, beta), ([], []))
-                    cs.append(k)
-                    vs.append(-sg[k, alpha])
-        for (alpha, beta), (cs, vs) in qq.items():
-            put(NV + alpha, NV + beta, cs, vs)
+        # each permutation is a fixed-point-free involution, so alpha < pi_k(alpha)
+        # picks every (k, unordered pair) exactly once
+        beta = pi.ravel()
+        qq = alpha < beta
 
-        return cls(brackets, pi, sg)
+        a = np.concatenate([va[up], k, NV + alpha[qq]])
+        b = np.concatenate([vv.col[up], NV + alpha, NV + beta[qq]])
+        c = np.concatenate([vc[up], NV + tp.ravel(), k[qq]])
+        v = np.concatenate([vv.data[up], ts.ravel(), -sg.ravel()[qq]])
+        order = np.lexsort((c, b, a))
+        return cls(a[order], b[order], c[order], v[order], pi, sg)
 
     def bracket_basis(self, a: int, b: int):
         """(targets, doubled coeffs) of [basis_a, basis_b] for any order of a, b."""
-        if a == b:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        if a < b:
-            cs, vs = self.brackets.get((a, b), (np.empty(0, np.int64), np.empty(0, np.int64)))
-            return cs, vs
-        cs, vs = self.brackets.get((b, a), (np.empty(0, np.int64), np.empty(0, np.int64)))
-        return cs, -vs
+        key = min(a, b) * DIM + max(a, b)
+        lo, hi = np.searchsorted(self._pairs, [key, key + 1])
+        cs, vs = self.c[lo:hi], self.v[lo:hi]
+        return (cs, vs) if a < b else (cs, -vs)
 
 
 def abstract_bracket(x: AlgebraElement, y: AlgebraElement, t: StructureTensor) -> AlgebraElement:
@@ -202,17 +201,25 @@ def abstract_bracket(x: AlgebraElement, y: AlgebraElement, t: StructureTensor) -
 
     Raises if the result leaves the half-integer lattice (doubled integer
     accumulation must be divisible by 4), mirroring the doubled-storage
-    closure rule of the matrix kernel.
+    closure rule of the matrix kernel, and raises OverflowError where the
+    int64 accumulation might not be exact.
     """
     xc, yc = x.coeffs, y.coeffs
+    terms = int(np.bincount(t.c).max())  # most entries with one target
+    if 2 * int(np.abs(xc).max()) * int(np.abs(yc).max()) * int(np.abs(t.v).max()) * terms >= 2**63:
+        raise OverflowError("bracket coefficients too large for exact int64 accumulation")
     acc = np.zeros(DIM, dtype=np.int64)
-    for (a, b), (cs, vs) in t.brackets.items():
-        w = int(xc[a]) * int(yc[b]) - int(xc[b]) * int(yc[a])
-        if w:
-            acc[cs] += w * vs
+    np.add.at(acc, t.c, (xc[t.a] * yc[t.b] - xc[t.b] * yc[t.a]) * t.v)
     if (acc & 3).any():
         raise ValueError("bracket result has coefficients outside (1/2)*Z")
     return AlgebraElement(acc >> 2)
+
+
+def _ad_stack(t: StructureTensor) -> sp.csr_matrix:
+    """The adjoint matrices stacked: row A*248 + C, column B is the doubled
+    coefficient of basis_C in [basis_A, basis_B]."""
+    rows = np.r_[t.a, t.b] * DIM + np.r_[t.c, t.c]
+    return sp.csr_matrix((np.r_[t.v, -t.v], (rows, np.r_[t.b, t.a])), shape=(DIM * DIM, DIM))
 
 
 class AdjointRep:
@@ -233,28 +240,11 @@ class AdjointRep:
 
     @classmethod
     def build(cls, t: StructureTensor) -> "AdjointRep":
-        rows = [[] for _ in range(DIM)]
-        cols = [[] for _ in range(DIM)]
-        vals = [[] for _ in range(DIM)]
-        for (a, b), (cs, vs) in t.brackets.items():
-            rows[a].extend(cs.tolist())
-            cols[a].extend([b] * len(cs))
-            vals[a].extend(vs.tolist())
-            rows[b].extend(cs.tolist())
-            cols[b].extend([a] * len(cs))
-            vals[b].extend((-vs).tolist())
-        mats = []
-        for a in range(DIM):
-            m = sp.csr_matrix(
-                (np.array(vals[a], dtype=np.int64), (rows[a], cols[a])),
-                shape=(DIM, DIM),
-            )
-            m.sum_duplicates()
-            mats.append(m)
-        return cls(mats)
+        m = _ad_stack(t)
+        return cls([m[a * DIM:(a + 1) * DIM] for a in range(DIM)])
 
 
-def build_display_blocks(d: SpinorGenerators) -> list[sp.csr_matrix]:
+def build_display_blocks(t: StructureTensor) -> list[sp.csr_matrix]:
     """The 248 block matrices in the display normalization (doubled CSR).
 
     The vector blocks are block-diagonal (so(16) constants and Delta_ij);
@@ -263,9 +253,9 @@ def build_display_blocks(d: SpinorGenerators) -> list[sp.csr_matrix]:
     row-first as displayed.  display_block_relation measures the exact
     factor against the canonical adjoint.
     """
-    t = StructureTensor.build(d)
     # vector blocks: identical content to the canonical ad(J_ij)
-    out = AdjointRep.build(t).mats[:NV]
+    m = _ad_stack(t)
+    out = [m[a * DIM:(a + 1) * DIM] for a in range(NV)]
     # spinor blocks with the explicit factor 4 and minus sign: in the block
     # of Q_alpha, entry (vector-row k, spinor-col beta) is
     # 4 * (Delta_k)_{alpha, beta} and (spinor-row beta, vector-col k) its negative
@@ -336,12 +326,13 @@ class SuiteReport:
 def _pair_failures(mats, structure, rows) -> np.ndarray:
     """Exact check of [M_a, M_b] = sum_c T_a[c, b] M_c for a in rows, all b.
 
-    mats are n doubled d x d CSR matrices and structure[a] is the doubled
-    n x n matrix T_a, so both sides are 4x true.  Each row a is one sparse
-    step over every b at once: with X the vertical stack of the M_b,
-    kron(I, M_a) @ X - X @ M_a stacks the commutators, and with V the rows
-    vec(M_c), T_a^T @ V stacks the right-hand sides.  Returns mask[i, b],
-    True where the pair (rows[i], b) fails.
+    mats are n doubled d x d CSR matrices and rows a*n .. a*n + n - 1 of
+    structure are the doubled n x n matrix T_a, so both sides are 4x true.
+    Each row a is one sparse step over every b at once: with X the
+    vertical stack of the M_b, kron(I, M_a) @ X - X @ M_a stacks the
+    commutators, and with V the rows vec(M_c), T_a^T @ V stacks the
+    right-hand sides.  Returns mask[i, b], True where the pair (rows[i], b)
+    fails.
     """
     n, d = len(mats), mats[0].shape[0]
     x = sp.vstack(mats, format="csr")
@@ -350,7 +341,7 @@ def _pair_failures(mats, structure, rows) -> np.ndarray:
     mask = np.zeros((len(rows), n), dtype=bool)
     for i, a in enumerate(rows):
         m = mats[a]
-        rhs = (structure[a].T @ v).reshape(x.shape)
+        rhs = (structure[a * n:(a + 1) * n].T @ v).reshape(x.shape)
         diff = (sp.kron(eye, m, format="csr") @ x - x @ m - rhs).tocoo()
         mask[i, diff.row[diff.data != 0] // d] = True
     return mask
@@ -399,11 +390,11 @@ def verify_defining_relations(
     Strata: vector-vector (all 14400 ordered pairs), vector-spinor (all
     120 x 128 pairs), spinor-spinor (all 8128 unordered pairs).  Exact
     integer comparison; the first failing pair is reported by name.  The
-    right-hand sides are read from the stored brackets of t at call time.
+    right-hand sides are read from the stored table of t at call time.
     """
     return _pair_suites(
         rep.mats,
-        AdjointRep.build(t).mats,
+        _ad_stack(t),
         [(name, _RELATION_STRATA[name]) for name in ALL_RELATION_STRATA if name in strata],
         lambda a, b: f"[{flat_label(a)}, {flat_label(b)}]",
     )
@@ -500,7 +491,7 @@ def verify_jacobi(
     """
     reports = _pair_suites(
         rep.mats,
-        AdjointRep.build(t).mats,
+        _ad_stack(t),
         [
             ("jacobi-JJ*-pairs", lambda a, b: (a < NV) & (b > a) & (b < NV)),
             ("jacobi-JQ*-pairs", _RELATION_STRATA["vector-spinor"]),
@@ -508,39 +499,42 @@ def verify_jacobi(
         lambda a, b: f"pair ({flat_label(a)}, {flat_label(b)})",
     )
 
-    # per-entry arrays sourced from the *stored* tensor coefficients, so a
+    # per-entry tables read from the *stored* tensor coefficients, so a
     # corrupted tensor fails these strata
-    jq = [t.brackets[(k, NV + alpha)] for k in range(NV) for alpha in range(NS)]
-    tb = np.array([cs[0] for cs, _ in jq]).reshape(NV, NS) - NV  # [J_k, Q_a] target spinor
-    tv = np.array([vs[0] for _, vs in jq]).reshape(NV, NS)  # and its doubled coefficient
+    jq = (t.a < NV) & (t.b >= NV)
+    tb = t.c[jq].reshape(NV, NS) - NV  # [J_k, Q_a] target spinor
+    tv = t.v[jq].reshape(NV, NS)  # and its doubled coefficient
+    qq = t.a >= NV
+    p, q, k, v = t.a[qq] - NV, t.b[qq] - NV, t.c[qq], t.v[qq]
     gk = np.zeros((NS, NV), dtype=np.int64)  # partner of a in [Q_a, .] for J_k
     fk = np.zeros((NS, NV), dtype=np.int64)  # and the stored doubled coefficient
-    for (a, b), (cs, vs) in t.brackets.items():
-        if a >= NV:
-            al, be = a - NV, b - NV
-            for c, v in zip(cs, vs):
-                gk[al, c] = be
-                fk[al, c] = v
-                gk[be, c] = al
-                fk[be, c] = -v
+    gk[p, k], fk[p, k] = q, v
+    gk[q, k], fk[q, k] = p, -v
 
-    # exhaustive QQQ scan: fail[al, be, ga] (al < be) marks a nonzero
-    # cyclic sum of [[Q_al, Q_be], Q_ga] against the tensor
+    # exhaustive QQQ scan: fail[al, be, g] (al < be) marks a nonzero
+    # cyclic sum of [[Q_al, Q_be], Q_g] against the tensor.  For each al the
+    # terms of every (be > al, g, d) go into one sparse matrix with row
+    # be*128 + g and column d, which sums them exactly.
     t0 = time.time()
     fail = np.zeros((NS, NS, NS), dtype=bool)
     ar = np.arange(NS)
-    karr = np.arange(NV)
     for al in range(NS):
-        for be in range(al + 1, NS):
-            tot = np.zeros((NS, NS), dtype=np.int64)
-            for k, v in zip(*t.brackets.get((NV + al, NV + be), ((), ()))):
-                # [[Q_al, Q_be], Q_g]_d = sum_k v_k [J_k, Q_g]_d
-                tot[ar, tb[k]] += int(v) * tv[k]
+        be = np.arange(al + 1, NS)
+        own = p == al
+        terms = (
+            # [[Q_al, Q_be], Q_g]_d = sum_k v_k [J_k, Q_g]_d over the stored (al, be, k, v)
+            (q[own, None] * NS + ar, tb[k[own]], v[own, None] * tv[k[own]]),
             # [[Q_be, Q_g], Q_al]: nonzero at g = gk[be, k]
-            np.add.at(tot, (gk[be], tb[karr, al]), fk[be] * tv[karr, al])
+            (be[:, None] * NS + gk[be], np.broadcast_to(tb[:, al], (len(be), NV)),
+             fk[be] * tv[:, al]),
             # [[Q_g, Q_al], Q_be]: nonzero at g = gk[al, k], coeff -fk[al, k]
-            np.add.at(tot, (gk[al], tb[karr, be]), -fk[al] * tv[karr, be])
-            fail[al, be] = tot.any(axis=1)
+            (be[:, None] * NS + gk[al], tb[:, be].T, -fk[al] * tv[:, be].T),
+        )
+        rows, cols, vals = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*terms))
+        tot = sp.csr_matrix((vals, (rows, cols)), shape=(NS * NS, NS))
+        tot.sum_duplicates()
+        tot.eliminate_zeros()
+        fail[al] = np.diff(tot.indptr).reshape(NS, NS) > 0
     full_s = time.time() - t0
 
     # sampled QQQ triples, read off the scan: with the stored table

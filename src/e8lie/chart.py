@@ -258,17 +258,6 @@ def expm_antisymmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return r
 
 
-def expm_taylor_reference(a: np.ndarray, terms: int = 40) -> np.ndarray:
-    """Plain series exponential; test reference for small matrices."""
-    a = np.asarray(a, dtype=np.float64)
-    out = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    for k in range(1, terms + 1):
-        term = term @ a / k
-        out = out + term
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subgroup factor and the chart
 
@@ -378,7 +367,7 @@ class ChartEngine:
         return rank, svals, threshold
 
 
-def random_euler_point(seed: int, region: TorusRegion, spread: float = 0.4) -> EulerPoint:
+def random_euler_point(seed: int, region: TorusRegion, spread: float = 0.6) -> EulerPoint:
     """A generic chart point: uniform subgroup coordinates, in-region y."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-spread, spread, NV)

@@ -123,12 +123,10 @@ def _eigen_rates(cartan_floats, tol, retry):
     gaps = np.diff(np.sort(lam))
     if np.min(np.abs(gaps)) < 1e-8:
         return None  # eigenvalue collision: caller retries with the next t
-    rates = np.empty((nz.size, RANK))
-    for out, col in enumerate(nz):
-        v = evecs[:, col]
-        for i in range(RANK):
-            rates[out, i] = np.imag(np.vdot(v, cartan_floats[i] @ v))
-    return rates, evecs[:, nz], lam
+    # Rayleigh rates Im(v^H C_i v) of every eigenvector, one product per C_i
+    v = evecs[:, nz]
+    rates = np.stack([np.imag(np.sum(v.conj() * (c @ v), axis=0)) for c in cartan_floats], axis=1)
+    return rates, v, lam
 
 
 def _snap(rates: np.ndarray, tol: float):
@@ -145,12 +143,6 @@ def _snap(rates: np.ndarray, tol: float):
         if resid < tol and np.isin(dbl, (-2, -1, 0, 1, 2)).all():
             return Fraction(num, den), dbl.astype(np.int64), resid
     raise RootExtractionError("no admissible snapping scale in {1/4,1/2,1,2,4}")
-
-
-def compute_roots(c: CartanSet, rep: AdjointRep, tol: float = 1e-9):
-    """Snap the 240 roots; returns (list of raw-gauge Root, scale)."""
-    data = _extract(c, rep, tol)
-    return [Root(tuple(r)) for r in data["dbl"]], data["scale"]
 
 
 def _extract(c: CartanSet, rep: AdjointRep, tol: float):

@@ -92,6 +92,17 @@ def test_mixed_bracket_matches_delta_column(tensor, spinors):
     assert int(vs[0]) == int(d[b, a - 1])
 
 
+def test_bracket_table_is_sorted_upper_and_nonzero(tensor):
+    a, b, c, v = tensor.a, tensor.b, tensor.c, tensor.v
+    assert len(a) == len(b) == len(c) == len(v) == 24720
+    assert all(x.dtype == np.int64 and not x.flags.writeable for x in (a, b, c, v))
+    assert (a < b).all()
+    assert (v != 0).all()
+    # strictly increasing (a, b, c): sorted, and no triple is stored twice
+    assert (np.diff((a * 248 + b) * 248 + c) > 0).all()
+    assert len(np.unique(a * 248 + b)) == 22032
+
+
 # ---------------------------------------------------------------------------
 # abstract bracket
 
@@ -123,6 +134,26 @@ def test_abstract_bracket_inexact_rejected(tensor):
     c2[spinor_flat(2)] = 1
     with pytest.raises(ValueError):
         abstract_bracket(AlgebraElement(c1), AlgebraElement(c2), tensor)
+
+
+def test_abstract_bracket_matches_pair_loop(tensor):
+    # reference: a plain loop over every unordered basis pair
+    rng = np.random.default_rng(11)
+    x, y = (2 * rng.integers(-3, 4, size=248) for _ in range(2))
+    acc = np.zeros(248, dtype=np.int64)
+    for a in range(248):
+        for b in range(a + 1, 248):
+            cs, vs = tensor.bracket_basis(a, b)
+            acc[cs] += (int(x[a]) * int(y[b]) - int(x[b]) * int(y[a])) * vs
+    got = abstract_bracket(AlgebraElement(x), AlgebraElement(y), tensor)
+    assert got == AlgebraElement(acc >> 2)
+
+
+def test_abstract_bracket_refuses_int64_overflow(tensor):
+    x = AlgebraElement(np.full(248, 2**40, dtype=np.int64))
+    y = AlgebraElement(np.arange(248, dtype=np.int64) * 2**32)
+    with pytest.raises(OverflowError):
+        abstract_bracket(x, y, tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +190,34 @@ def test_adjoint_homomorphism_sampled(rep, tensor):
         assert (lhs - rhs).nnz == 0
 
 
+def test_adjoint_matches_dense_oracle(rep, spinors):
+    # every ad matrix rebuilt by plain loops over the bracket rules of the
+    # README, with the dense Delta_ij; doubled storage throughout
+    delta = [spinors.delta[pair].doubled for pair in alg.VECTOR_PAIRS]
+    for a, (i, j) in enumerate(alg.VECTOR_PAIRS):
+        want = np.zeros((248, 248), dtype=np.int64)
+        # [J_ij, J_kl] = d_jk J_il - d_jl J_ik - d_ik J_jl + d_il J_jk, J_qp = -J_pq
+        for b, (k, l) in enumerate(alg.VECTOR_PAIRS):
+            for hit, p, q, sign in ((j == k, i, l, 1), (j == l, i, k, -1),
+                                    (i == k, j, l, -1), (i == l, j, k, 1)):
+                if hit and p < q:
+                    want[vector_flat(p, q), b] += 2 * sign
+                elif hit and p > q:
+                    want[vector_flat(q, p), b] -= 2 * sign
+        # [J_ij, Q_a] = sum_b (Delta_ij)_{b,a} Q_b
+        want[120:, 120:] = delta[a]
+        got = rep.mats[a]
+        assert got.dtype == np.int64 and np.array_equal(got.toarray(), want)
+    for alpha in range(128):
+        want = np.zeros((248, 248), dtype=np.int64)
+        for k in range(120):
+            # [Q_a, J_k] = -[J_k, Q_a] and [Q_a, Q_b] = -sum_k (Delta_k)_{a,b} J_k
+            want[120:, k] = -delta[k][:, alpha]
+            want[k, 120:] = -delta[k][alpha, :]
+        got = rep.mats[120 + alpha]
+        assert got.dtype == np.int64 and np.array_equal(got.toarray(), want)
+
+
 def test_adjoint_matrices_are_antisymmetric(rep):
     for a in range(0, 248, 13):
         m = rep.mats[a]
@@ -168,22 +227,22 @@ def test_adjoint_matrices_are_antisymmetric(rep):
 # ---------------------------------------------------------------------------
 # display-normalization blocks
 
-def test_display_blocks_relation(rep, spinors):
-    blocks = build_display_blocks(spinors)
+def test_display_blocks_relation(rep, tensor):
+    blocks = build_display_blocks(tensor)
     vec_equal, factor = display_block_relation(rep, blocks)
     assert vec_equal
     assert factor == DISPLAY_SPINOR_FACTOR
 
 
-def test_display_blocks_traceless(spinors):
-    blocks = build_display_blocks(spinors)
+def test_display_blocks_traceless(tensor):
+    blocks = build_display_blocks(tensor)
     assert all(int(b.diagonal().sum()) == 0 for b in blocks)
 
 
-def test_display_blocks_fail_spinor_closure(rep, tensor, spinors):
+def test_display_blocks_fail_spinor_closure(rep, tensor):
     # fed as a representation, the display normalization closes on the
     # vector and mixed strata but breaks the spinor-spinor one
-    fake = AdjointRep(build_display_blocks(spinors))
+    fake = AdjointRep(build_display_blocks(tensor))
     vv, vs, ss = verify_defining_relations(fake, tensor)
     assert vv.passed and vs.passed
     assert not ss.passed and ss.failures > 0
@@ -209,19 +268,34 @@ def test_fault_injection_corrupted_entry(rep, tensor):
     assert "J(1,2)" in first_bad.first_counterexample
 
 
+def _with_coeffs(t, v):
+    """The tensor t with its stored coefficients replaced by v."""
+    return StructureTensor(t.a, t.b, t.c, v, t.pi, t.sg)
+
+
+def test_relations_fault_injection_flipped_vector_spinor_coeff(rep, tensor):
+    # one stored coefficient of [J(2,5), Q(17)] flips sign: only that pair of
+    # the vector-spinor stratum fails, and it is named
+    v = tensor.v.copy()
+    v[(tensor.a == vector_flat(2, 5)) & (tensor.b == spinor_flat(17))] *= -1
+    vv, vs, ss = verify_defining_relations(rep, _with_coeffs(tensor, v))
+    assert vv.passed and ss.passed
+    assert vs.failures == 1
+    assert vs.first_counterexample == "[J(2,5), Q(17)]"
+
+
 def test_jacobi_passes(rep, tensor):
     for r in verify_jacobi(rep, tensor, samples=2000, seed=0):
         assert r.passed, r.to_dict()
 
 
-def test_uniformly_doubled_spinor_coeffs_fail_relations(rep, spinors):
+def test_uniformly_doubled_spinor_coeffs_fail_relations(rep, tensor):
     # doubling the whole spinor-spinor stratum is the normalization freedom
     # of the construction (still a Lie algebra), so Jacobi cannot see it;
     # the defining relations against the canonical adjoint do
-    t = StructureTensor.build(spinors)
-    for (a, b), (cs, vs) in list(t.brackets.items()):
-        if a >= 120:
-            t.brackets[(a, b)] = (cs, 2 * vs)
+    v = tensor.v.copy()
+    v[tensor.a >= 120] *= 2
+    t = _with_coeffs(tensor, v)
     vv, vs_, ss = verify_defining_relations(rep, t)
     assert vv.passed and vs_.passed
     assert not ss.passed
@@ -230,15 +304,13 @@ def test_uniformly_doubled_spinor_coeffs_fail_relations(rep, spinors):
         assert r.passed  # consistent rescaled algebra
 
 
-def test_jacobi_fault_injection_nonuniform_spinor_coeffs(spinors):
+def test_jacobi_fault_injection_nonuniform_spinor_coeffs(tensor):
     # a non-uniform corruption (double only the first coefficient of each
     # stored spinor-spinor bracket) genuinely breaks the Jacobi identity
-    t = StructureTensor.build(spinors)
-    for (a, b), (cs, vs) in list(t.brackets.items()):
-        if a >= 120 and len(vs):
-            v2 = vs.copy()
-            v2[0] *= 2
-            t.brackets[(a, b)] = (cs, v2)
+    first = np.r_[True, np.diff(tensor.a * 248 + tensor.b) != 0]
+    v = tensor.v.copy()
+    v[first & (tensor.a >= 120)] *= 2
+    t = _with_coeffs(tensor, v)
     reports = verify_jacobi(AdjointRep.build(t), t, samples=500, seed=0)
     sampled = next(r for r in reports if r.name == "jacobi-QQQ-sampled")
     assert not sampled.passed
@@ -275,7 +347,9 @@ def test_jacobi_pairs_fault_injection_corrupted_entry(rep, tensor):
 def test_so16_fault_injection_names_first_bad_pair(tensor):
     sg = tensor.sg.copy()
     sg[vector_flat(3, 7), 5] *= -1  # one sign of Delta(3,7)
-    report = alg.verify_so16_on_spinors(StructureTensor(tensor.brackets, tensor.pi, sg))
+    report = alg.verify_so16_on_spinors(
+        StructureTensor(tensor.a, tensor.b, tensor.c, tensor.v, tensor.pi, sg)
+    )
     assert not report.passed
     # dense oracle on the doubled generators, in flat-index pair order
     dense = np.zeros((120, 128, 128), dtype=np.int64)

@@ -8,7 +8,6 @@ from e8lie.roots import (
     Root,
     cartan_matrix_of,
     choose_positive_and_simple,
-    compute_roots,
     decompose_in_simples,
     permutation_equivalent,
     positivity_value,
@@ -62,8 +61,18 @@ def test_scale_stable_across_t_vectors(rep, cartan):
     assert len(set(scales)) == 1
 
 
+def test_eigen_rates_match_rayleigh_loop(rep, cartan):
+    # reference: one np.vdot Rayleigh quotient per eigenvector and generator
+    mats = [np.asarray(rep.mats[f].todense(), dtype=np.float64) / 2.0 for f in cartan.flats]
+    rates, vecs, _ = rt._eigen_rates(mats, 1e-9, 0)
+    want = [[np.imag(np.vdot(v, m @ v)) for m in mats] for v in vecs.T]
+    assert np.abs(rates - np.array(want)).max() < 1e-12
+
+
 def test_compute_roots_contract(rep, cartan):
-    roots, scale = compute_roots(cartan, rep)
+    # the raw-gauge snapped roots and their scale
+    data = rt._extract(cartan, rep, 1e-9)
+    roots, scale = [Root(tuple(r)) for r in data["dbl"]], data["scale"]
     assert len({r.coords for r in roots}) == 240
     assert str(scale) == EXPECTED_SCALE
 
