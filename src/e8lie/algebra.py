@@ -146,9 +146,9 @@ class StructureTensor:
     Entry n says that v[n] is the doubled coefficient of basis_c[n] in
     [basis_a[n], basis_b[n]], one entry per nonzero coefficient.  Only pairs
     with a < b are stored, so the table is antisymmetric by construction;
-    it is sorted by (a, b, c).  The per-pair arrays of the 120
-    half-signed-permutation matrices Delta_ij are kept alongside as the
-    exact fast path for the so(16) spinor check and the Cartan search.
+    it is sorted by (a, b, c).  pi and sg are the (perm, sign) arrays of
+    the doubled Delta_ij, shared with SpinorGenerators, for the so(16)
+    spinor check, the display blocks and the Cartan search.
     """
 
     def __init__(self, a, b, c, v, pi, sg):
@@ -162,8 +162,7 @@ class StructureTensor:
 
     @classmethod
     def build(cls, d: SpinorGenerators) -> "StructureTensor":
-        # pair by pair: one stacked dense copy would add 16 MB to peak memory
-        pi, sg = map(np.stack, zip(*(perm_decode(d.delta[pair].doubled) for pair in VECTOR_PAIRS)))
+        pi, sg = d.perm, d.sign
 
         # vector-vector from the so(16) rule
         vv = _so16_structure().tocoo()
@@ -427,11 +426,9 @@ def verify_chirality_consistency(g) -> SuiteReport:
     Delta'_ij = (1/4)(Sigma_i^T Sigma_j - Sigma_j^T Sigma_i) must obey the
     same commutation rule, which pins the block convention down.  Delta' is
     formed from both terms on the permutation arrays of the blocks; a pair
-    whose terms do not cancel to 1/2 * signed permutation raises.
+    whose terms do not combine to 1/2 * signed permutation raises.
     """
     pi, sg = quarter_commutators(perm_transpose(sigma_arrays(g)))
-    if not sg.all():
-        raise ValueError("Delta' is not 1/2 * a signed permutation")
     return _verify_eq1_family(pi, sg, "so16-spinor-rep-negative-chirality")
 
 
@@ -585,69 +582,42 @@ class CartanSet:
     def __post_init__(self):
         object.__setattr__(self, "flats", tuple(spinor_flat(a) for a in self.alphas))
 
-    def matrices(self, rep: AdjointRep) -> list[HalfIntMatrix]:
-        return [rep.matrix(f) for f in self.flats]
 
-
-def _spinor_commutes(t: StructureTensor, a0: int, b0: int) -> bool:
-    """[Q_a, Q_b] == 0 for 0-based spinor positions."""
-    return not np.any(t.pi[:, a0] == b0)
+def _spinor_commuting(t: StructureTensor) -> np.ndarray:
+    """comm[a, b]: [Q_a, Q_b] == 0 and a != b, for 0-based spinor positions;
+    the bracket has a J_k term exactly where b = pi[k, a]."""
+    comm = np.ones((NS, NS), dtype=bool)
+    comm[np.arange(NS), t.pi] = False
+    np.fill_diagonal(comm, False)
+    return comm
 
 
 def find_cartan(rep: AdjointRep, t: StructureTensor) -> CartanSet:
-    """Greedy lowest-index search for 8 pairwise-commuting spinor generators.
+    """The lexicographically first 8 pairwise-commuting spinor generators.
 
-    Falls back to a lexicographic backtracking search if the greedy pass
-    stalls before reaching 8 (possible under other gamma conventions).
+    A depth-first search over the commuting table in increasing index order:
+    its first branch is the greedy lowest-index choice.
     """
-    chosen: list[int] = []
-    for cand in range(NS):
-        if all(_spinor_commutes(t, c, cand) for c in chosen):
-            chosen.append(cand)
-            if len(chosen) == 8:
-                break
-    if len(chosen) < 8:
-        chosen = _backtrack_cartan(t)
-        if chosen is None:
-            raise RuntimeError("no set of 8 pairwise-commuting spinor generators found")
-    # postcondition: exactly 8, pairwise brackets exactly zero
-    for idx, a in enumerate(chosen):
-        for b in chosen[idx + 1:]:
-            if not _spinor_commutes(t, a, b):
-                raise RuntimeError("cartan candidate does not commute")
-    return CartanSet(alphas=tuple(c + 1 for c in chosen))
+    comm = _spinor_commuting(t)
 
-
-def _backtrack_cartan(t: StructureTensor):
-    comm = np.ones((NS, NS), dtype=bool)
-    for a in range(NS):
-        comm[a, t.pi[:, a]] = False
-        comm[a, a] = False
-
-    def extend(stack, start):
-        if len(stack) == 8:
-            return list(stack)
-        for cand in range(start, NS):
-            if all(comm[c, cand] for c in stack):
-                stack.append(cand)
-                got = extend(stack, cand + 1)
-                if got is not None:
-                    return got
-                stack.pop()
+    def extend(chosen):
+        if len(chosen) == 8:
+            return chosen
+        fits = comm[chosen].all(axis=0)
+        for cand in range(chosen[-1] + 1 if chosen else 0, NS):
+            if fits[cand] and (found := extend(chosen + [cand])):
+                return found
         return None
 
-    return extend([], 0)
+    chosen = extend([])
+    if chosen is None:
+        raise RuntimeError("no set of 8 pairwise-commuting spinor generators found")
+    return CartanSet(alphas=tuple(c + 1 for c in chosen))
 
 
 def no_ninth_commuting_spinor(t: StructureTensor, cartan: CartanSet) -> bool:
     """Scan: no spinor index outside the set commutes with all eight."""
-    members = {a - 1 for a in cartan.alphas}
-    for cand in range(NS):
-        if cand in members:
-            continue
-        if all(_spinor_commutes(t, a - 1, cand) for a in cartan.alphas):
-            return False
-    return True
+    return not _spinor_commuting(t)[np.array(cartan.alphas) - 1].all(axis=0).any()
 
 
 def modp_rank(mat: np.ndarray, p: int = 1_000_003) -> int:

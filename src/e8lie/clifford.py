@@ -10,9 +10,9 @@ matrices whose chirality splitting is diagonal in the tensor basis.
 All factors are signed permutations, so the blocks and the generators
 Delta_ij are built and checked as permutation arrays: int64 pairs
 (perm, sign) with M[r, perm[r]] = sign[r], stacked along leading axes.
-perm_decode is the one decoder from dense arrays; HalfIntMatrix values are
-formed once for the public types, and the dense halfint kernel is the
-independent oracle of the tests.
+perm_decode is the one decoder from dense arrays.  Sigma_i is kept as a
+HalfIntMatrix, Delta_ij only as arrays (made dense on first access), and
+the dense halfint kernel is the independent oracle of the tests.
 
 Correctness is defined by the machine-checked invariants (signed
 permutation shape and the two anticommutation families), not by any
@@ -23,7 +23,7 @@ the first failing pair on any violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -136,15 +136,18 @@ def anticommutation_failures(x) -> np.ndarray:
 def quarter_commutators(x):
     """(1/4)(x_i x_j^T - x_j x_i^T) for i < j in lexicographic pair order.
 
-    Returned as the doubled (perm, sign) of 1/2 * signed permutation, with
-    sign 0 where the two terms cancel.  Raises InexactDivision where the
-    nonzeros of the two terms differ: the result then has entries of 1/4.
+    Returned as the doubled (perm, sign) of 1/2 * signed permutation.  Raises
+    InexactDivision where the nonzeros of the two terms differ (entries of
+    1/4) and ValueError where they cancel on a row (a zero row).
     """
     p, s = _pair_products(x)
     i, j = np.triu_indices(len(p), 1)
     if (p[i, j] != p[j, i]).any():
         raise InexactDivision("division by 2 leaves the half-integer lattice")
-    return p[i, j], (s[i, j] - s[j, i]) // 2
+    sign = (s[i, j] - s[j, i]) // 2
+    if not sign.all():
+        raise ValueError("the two terms cancel on a row: not 1/2 * a signed permutation")
+    return p[i, j], sign
 
 
 @dataclass(frozen=True)
@@ -158,15 +161,27 @@ class GammaSystem:
             raise GammaConstructionError("expected 16 blocks")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compare by identity
 class SpinorGenerators:
     """Antisymmetric so(16) generators on the positive-chirality spinors.
 
-    delta maps (i, j) with 1 <= i < j <= 16 to the 128x128 matrix
-    (1/4)(Sigma_i Sigma_j^T - Sigma_j Sigma_i^T), whose entries are 0, +-1/2.
+    Delta_ij = (1/4)(Sigma_i Sigma_j^T - Sigma_j Sigma_i^T), 1 <= i < j <= 16,
+    is 1/2 * a signed permutation; row k of the [120, 128] int64 arrays perm
+    and sign is its doubled (perm, sign), pairs (i, j) in lexicographic order.
     """
 
-    delta: dict[tuple[int, int], HalfIntMatrix]
+    perm: np.ndarray
+    sign: np.ndarray
+
+    @cached_property
+    def delta(self) -> dict[tuple[int, int], HalfIntMatrix]:
+        """(i, j) -> the dense Delta_ij, formed on first access."""
+        pairs = zip(*np.triu_indices(N_VECTOR, 1))
+        # pair by pair: one stacked dense copy would add 16 MB to peak memory
+        return {
+            (int(i) + 1, int(j) + 1): HalfIntMatrix(perm_dense((p, s)))
+            for (i, j), p, s in zip(pairs, self.perm, self.sign)
+        }
 
 
 def sigma_arrays(g: GammaSystem):
@@ -215,20 +230,6 @@ def build_gamma_system(self_check: bool = True) -> GammaSystem:
 
 
 def spinor_generators(g: GammaSystem) -> SpinorGenerators:
-    """Delta_ij = (1/4)(Sigma_i Sigma_j^T - Sigma_j Sigma_i^T) for i < j."""
-    perm, sign = quarter_commutators(sigma_arrays(g))
-    pairs = zip(*np.triu_indices(N_VECTOR, 1))
-    # pair by pair: one stacked dense copy would add 16 MB to peak memory
-    return SpinorGenerators(delta={
-        (int(i) + 1, int(j) + 1): HalfIntMatrix(perm_dense((p, s)))
-        for (i, j), p, s in zip(pairs, perm, sign)
-    })
-
-
-def signed_permutation_arrays(m: HalfIntMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, signs) for a matrix that is 1/2 * signed permutation.
-
-    Row r of the doubled storage has exactly one nonzero entry +-1 at column
-    targets[r] with sign signs[r]; raises ValueError otherwise.
-    """
-    return perm_decode(m.doubled)
+    """Delta_ij = (1/4)(Sigma_i Sigma_j^T - Sigma_j Sigma_i^T) for i < j; raises
+    ValueError or InexactDivision unless each is 1/2 * a signed permutation."""
+    return SpinorGenerators(*quarter_commutators(sigma_arrays(g)))

@@ -34,8 +34,8 @@ class Pipeline:
         return ChartEngine(self.rep, self.root_system)
 
 
-def build_pipeline(self_check: bool = True) -> Pipeline:
-    gammas = build_gamma_system(self_check=self_check)
+def build_pipeline() -> Pipeline:
+    gammas = build_gamma_system()
     spinors = spinor_generators(gammas)
     tensor = StructureTensor.build(spinors)
     rep = AdjointRep.build(tensor)

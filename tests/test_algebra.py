@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -434,9 +436,17 @@ def test_adjoint_rank(rep):
     assert adjoint_rank(AdjointRep(mats)) == 247
 
 
-def test_backtracking_finds_a_set(tensor):
-    got = alg._backtrack_cartan(tensor)
+def test_backtracking_finds_a_set(rep, tensor):
+    got = find_cartan(rep, tensor).alphas
     assert got is not None and len(got) == 8
+    # Q_1 commutes only with Q_2..Q_7 (one involution row per partner of
+    # Q_1 from Q_8 on): the greedy pass stalls at seven and the search
+    # backtracks to Q_2..Q_9
+    partners = np.arange(7, 128)
+    pi = np.tile(np.arange(128), (len(partners), 1))
+    pi[np.arange(len(partners)), 0] = partners
+    pi[np.arange(len(partners)), partners] = 0
+    assert find_cartan(rep, SimpleNamespace(pi=pi)).alphas == tuple(range(2, 10))
 
 
 def test_modp_rank_basics():

@@ -6,6 +6,7 @@ import pytest
 from e8lie import clifford, halfint
 from e8lie.algebra import (
     VECTOR_PAIRS,
+    StructureTensor,
     modp_rank,
     verify_chirality_consistency,
     verify_clifford_pairs,
@@ -22,7 +23,7 @@ from e8lie.clifford import (
     perm_transpose,
     quarter_commutators,
     sigma_arrays,
-    signed_permutation_arrays,
+    spinor_generators,
 )
 from e8lie.halfint import HalfIntMatrix, commutator, mat_mul
 from e8lie.pipeline import build_pipeline
@@ -124,10 +125,35 @@ def test_delta_linear_independence(spinors):
 
 def test_signed_permutation_arrays_roundtrip(spinors):
     d = spinors.delta[(3, 7)]
-    pi, sg = signed_permutation_arrays(d)
+    pi, sg = perm_decode(d.doubled)
     rebuilt = np.zeros((128, 128), dtype=np.int64)
     rebuilt[np.arange(128), pi] = sg
     assert np.array_equal(rebuilt, d.doubled)
+
+
+def test_delta_stored_once_as_the_tensor_arrays(spinors, tensor):
+    # the dense delta decodes back to the stored arrays, which the tensor
+    # reads without a copy
+    assert spinors.perm.shape == spinors.sign.shape == (120, 128)
+    for k, pair in enumerate(VECTOR_PAIRS):
+        pi, sg = perm_decode(spinors.delta[pair].doubled)
+        assert np.array_equal(pi, spinors.perm[k]) and np.array_equal(sg, spinors.sign[k])
+    assert tensor.pi is spinors.perm and tensor.sg is spinors.sign
+
+
+@pytest.mark.parametrize("fault", ["row-flip", "column-flip"])
+def test_spinor_generators_reject_cancelling_terms(gammas, fault):
+    # a sign flip of a row or a column of Sigma_3 makes both terms of some
+    # Delta_ij cancel on a row: no tensor is built from it
+    sigma = list(gammas.sigma)
+    bad = sigma[2].doubled.copy()
+    if fault == "row-flip":
+        bad[0] = -bad[0]
+    else:
+        bad[:, 0] = -bad[:, 0]
+    sigma[2] = HalfIntMatrix(bad)
+    with pytest.raises(ValueError):
+        StructureTensor.build(spinor_generators(GammaSystem(sigma=tuple(sigma))))
 
 
 def test_fault_injection_names_pair(gammas):
