@@ -234,9 +234,6 @@ class AdjointRep:
     def __len__(self):
         return len(self.mats)
 
-    def matrix(self, flat: int) -> HalfIntMatrix:
-        return HalfIntMatrix(np.asarray(self.mats[flat].todense(), dtype=np.int64))
-
     @classmethod
     def build(cls, t: StructureTensor) -> "AdjointRep":
         m = _ad_stack(t)

@@ -4,7 +4,8 @@ Provides the torus fundamental-domain predicates (both the nine root-form
 inequalities built from the delivered simple/highest roots and the solved
 chain form with its literal constants), uniform sampling of the region,
 a fast torus exponential through the root-plane decomposition, the ordered
-product chart of the subgroup factor, and numerical chart-rank diagnostics.
+product chart of the subgroup factor, and the exact chart Jacobian with its
+rank.
 
 Boundary convention everywhere: lower bounds inclusive, upper exclusive.
 
@@ -76,15 +77,6 @@ def in_region_solved_batch(ys: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _sampling_box(padded: bool):
-    hi = np.array([PI / 6] + [PI] * 7)
-    lo = np.zeros(8)
-    if padded:
-        pad = 0.1 * (hi - lo)
-        return lo - pad, hi + pad
-    return lo, hi
-
-
 def region_equivalence_report(n: int, seed: int, region: TorusRegion) -> dict:
     """Monte-Carlo comparison of the two membership predicates.
 
@@ -94,8 +86,9 @@ def region_equivalence_report(n: int, seed: int, region: TorusRegion) -> dict:
     report content, not failure.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = _sampling_box(padded=True)
-    ys = rng.uniform(lo, hi, size=(n, 8))
+    hi = np.array([PI / 6] + [PI] * 7)
+    pad = 0.1 * hi
+    ys = rng.uniform(-pad, hi + pad, size=(n, 8))
     a = in_region_roots_batch(ys, region)
     b = in_region_solved_batch(ys)
     agree = a == b
@@ -131,11 +124,6 @@ def region_vertices(region: TorusRegion) -> np.ndarray:
     for i in range(RANK):
         verts[i + 1] = PI * dual[:, i] / region.marks[i]
     return verts
-
-
-def region_centroid(region: TorusRegion) -> np.ndarray:
-    """Exact mean of the uniform law on the simplex: the vertex average."""
-    return region_vertices(region).mean(axis=0)
 
 
 def sample_region(seed_or_rng, region: TorusRegion, n: int | None = None) -> np.ndarray:
@@ -176,7 +164,6 @@ class TorusDecomposition:
     """
 
     q: np.ndarray                        # 248 x 248 orthogonal
-    plane_roots: list                    # 120 final-gauge Root objects
     plane_cols: list[tuple[int, int]]
     fixed_cols: tuple[int, ...]
     rates: np.ndarray                    # 120 x 8 true rates
@@ -185,34 +172,32 @@ class TorusDecomposition:
 def torus_decomposition(rs: RootSystem, rep: AdjointRep) -> TorusDecomposition:
     q = np.zeros((DIM, DIM))
     plane_cols = []
-    roots = []
     rates = np.zeros((120, RANK))
     sfloat = float(rs.scale)
     for p, plane in enumerate(rs.planes):
         q[:, 2 * p] = plane.basis[:, 0]
         q[:, 2 * p + 1] = plane.basis[:, 1]
         plane_cols.append((2 * p, 2 * p + 1))
-        roots.append(plane.root)
         rates[p] = sfloat * np.array(plane.root.coords, dtype=np.float64) / 2.0
     fixed = tuple(range(240, DIM))
     for k, flat in enumerate(rs.fixed_flats):
         q[flat, 240 + k] = 1.0
-    td = TorusDecomposition(
-        q=q, plane_roots=roots, plane_cols=plane_cols, fixed_cols=fixed, rates=rates
-    )
+    td = TorusDecomposition(q=q, plane_cols=plane_cols, fixed_cols=fixed, rates=rates)
     _validate_decomposition(td, rs, rep)
     return td
 
 
+def _cartan_axes(rs: RootSystem) -> list[tuple[int, int]]:
+    """(flat, sign) per torus axis: the a-th relabeled Cartan generator is
+    sign * ad(basis_flat), after the recorded reversal and parity signs."""
+    srcs = range(RANK - 1, -1, -1) if rs.axis_reversed else range(RANK)
+    return [(rs.fixed_flats[s], rs.axis_signs[s]) for s in srcs]
+
+
 def final_cartan_matrices(rs: RootSystem, rep: AdjointRep) -> list[np.ndarray]:
     """The relabeled Cartan generators as real matrices (true values)."""
-    mats = []
-    for b in range(RANK):
-        src = RANK - 1 - b if rs.axis_reversed else b
-        sign = rs.axis_signs[src]
-        m = np.asarray(rep.mats[rs.fixed_flats[src]].todense(), dtype=np.float64) / 2.0
-        mats.append(sign * m)
-    return mats
+    return [sign * (np.asarray(rep.mats[flat].todense(), dtype=np.float64) / 2.0)
+            for flat, sign in _cartan_axes(rs)]
 
 
 def _validate_decomposition(td: TorusDecomposition, rs: RootSystem, rep: AdjointRep):
@@ -231,18 +216,23 @@ def _validate_decomposition(td: TorusDecomposition, rs: RootSystem, rep: Adjoint
             raise RuntimeError(f"block validation failed for axis {a}: {err:.2e}")
 
 
+def _rotate_rows(g: np.ndarray, i1, i2, theta) -> None:
+    """g <- exp(A) @ g in place, where A is theta[p] at (i1[p], i2[p]),
+    -theta[p] at (i2[p], i1[p]) and zero elsewhere (disjoint planes)."""
+    ct = np.cos(theta)[:, None]
+    st = np.sin(theta)[:, None]
+    a1 = g[i1]
+    a2 = g[i2]
+    g[i1] = ct * a1 + st * a2
+    g[i2] = -st * a1 + ct * a2
+
+
 def torus_element(y, td: TorusDecomposition) -> np.ndarray:
     """exp(sum_a y_a C'_a) through plane rotations; exactly orthogonal blocks."""
     theta = td.rates @ np.asarray(y, dtype=np.float64)
     w = td.q.T.copy()
-    i1 = np.array([c[0] for c in td.plane_cols])
-    i2 = np.array([c[1] for c in td.plane_cols])
-    ct = np.cos(theta)[:, None]
-    st = np.sin(theta)[:, None]
-    a1 = w[i1]
-    a2 = w[i2]
-    w[i1] = ct * a1 + st * a2
-    w[i2] = -st * a1 + ct * a2
+    i1, i2 = np.array(td.plane_cols).T
+    _rotate_rows(w, i1, i2, theta)
     return td.q @ w
 
 
@@ -278,14 +268,6 @@ class EulerPoint:
     def zero(cls) -> "EulerPoint":
         return cls(np.zeros(NV), np.zeros(RANK), np.zeros(NV))
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.x, self.y, self.z])
-
-    @classmethod
-    def from_vector(cls, v) -> "EulerPoint":
-        v = np.asarray(v, dtype=np.float64)
-        return cls(v[:NV], v[NV:NV + RANK], v[NV + RANK:])
-
 
 class ChartEngine:
     """Precomputed data for fast chart evaluation.
@@ -305,34 +287,27 @@ class ChartEngine:
         for k in range(NV):
             coo = rep.mats[k].tocoo()
             upper = coo.row < coo.col
-            rows = coo.row[upper]
-            cols = coo.col[upper]
-            vals = coo.data[upper] / 2.0  # true coefficients m = ad[C, B]
-            self._gen_planes.append(
-                (cols.astype(np.int64), rows.astype(np.int64), vals.astype(np.float64))
-            )
+            # ad[row, col] = m, the true coefficient, and ad[col, row] = -m
+            self._gen_planes.append((coo.row[upper], coo.col[upper], coo.data[upper] / 2.0))
 
-    def _apply_generator_exp(self, g: np.ndarray, k: int, x: float):
-        """g <- exp(x ad(J_k)) @ g, in place."""
-        src, dst, m = self._gen_planes[k]  # ad[dst, src] = m, ad[src, dst] = -m
-        theta = m * x
-        ct = np.cos(theta)[:, None]
-        st = np.sin(theta)[:, None]
-        gb = g[src]
-        gc = g[dst]
-        g[src] = ct * gb - st * gc
-        g[dst] = st * gb + ct * gc
+    def _subgroup_sweep(self, x: np.ndarray, g: np.ndarray, seen=None) -> np.ndarray:
+        """g <- S(x) @ g in place, one factor exp(x_k ad(J_k)) at a time from
+        the right.  If given, seen[k] receives row k of g just before factor
+        k is applied, i.e. of the factors to its right times the input g."""
+        for k in range(NV - 1, -1, -1):
+            if seen is not None:
+                seen[k] = g[k]
+            if x[k] != 0.0:
+                rows, cols, m = self._gen_planes[k]
+                _rotate_rows(g, rows, cols, m * float(x[k]))
+        return g
 
     def subgroup_element(self, x) -> np.ndarray:
         """Ordered product prod_k exp(x_k ad(J_k)) over the lexicographic pairs."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (NV,):
             raise ValueError("subgroup factor needs 120 coordinates")
-        g = np.eye(DIM)
-        for k in range(NV - 1, -1, -1):
-            if x[k] != 0.0:
-                self._apply_generator_exp(g, k, float(x[k]))
-        return g
+        return self._subgroup_sweep(x, np.eye(DIM))
 
     def torus_element(self, y) -> np.ndarray:
         return torus_element(y, self.td)
@@ -341,26 +316,30 @@ class ChartEngine:
         """S(x) @ exp(sum y_a C'_a) @ S(z)."""
         return self.subgroup_element(p.x) @ self.torus_element(p.y) @ self.subgroup_element(p.z)
 
-    def chart_jacobian(self, p: EulerPoint, h: float = 1e-5) -> np.ndarray:
-        """Central-difference Jacobian of vec(chart): (248*248) x 248."""
-        base = p.as_vector()
-        jac = np.empty((DIM * DIM, base.size))
-        for k in range(base.size):
-            vp = base.copy()
-            vp[k] += h
-            vm = base.copy()
-            vm[k] -= h
-            gp = self.chart(EulerPoint.from_vector(vp))
-            gm = self.chart(EulerPoint.from_vector(vm))
-            jac[:, k] = (gp - gm).ravel() / (2 * h)
-        return jac
+    def chart_jacobian(self, p: EulerPoint) -> np.ndarray:
+        """Exact left-trivialised Jacobian g^-1 dg of the chart, times sqrt(60).
 
-    def chart_rank(self, p: EulerPoint, h: float = 1e-5):
+        Column j (coordinates x, y, z in that order) is the algebra vector of
+        g^-1 dg/dc_j.  For a factor exp(t ad(b_k)) followed by the product R
+        of the factors to its right it is R^T e_k, row k of R; a torus axis
+        commutes with its own factor, so its R is S(z).  One backward sweep
+        (the z factors, the torus, the x factors) builds every R.  With the
+        Killing form -60 I, |g ad(v)|_F = sqrt(60) |v|: the singular values
+        are those of the derivative of the 248 x 248 entries of the chart.
+        """
+        cols = np.empty((DIM, DIM))  # row j is column j
+        r = self._subgroup_sweep(p.z, np.eye(DIM), cols[NV + RANK:])
+        for a, (flat, sign) in enumerate(_cartan_axes(self.root_system)):
+            cols[NV + a] = sign * r[flat]
+        self._subgroup_sweep(p.x, self.torus_element(p.y) @ r, cols[:NV])
+        return math.sqrt(60.0) * cols.T
+
+    def chart_rank(self, p: EulerPoint):
         """Numerical rank with threshold (largest singular value) * 1e-6.
 
         Returns (rank, singular values, threshold).
         """
-        jac = self.chart_jacobian(p, h)
+        jac = self.chart_jacobian(p)
         svals = scipy.linalg.svdvals(jac)
         threshold = svals[0] * 1e-6
         rank = int((svals > threshold).sum())

@@ -7,8 +7,8 @@ diagnostic).  Exit code 0 on success or all-pass, 1 on verification
 failure, 2 on usage errors.
 
 Every run echoes its configuration as one JSON line on stderr.  The seed
-defaults to 0.  --threads caps BLAS threading (exact integer results do
-not depend on it; it exists to make float runs resource-predictable).
+defaults to 0.  --threads is echoed in that line; it does not yet cap BLAS
+threading (BLAS is loaded before the option is read).
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def cmd_rank(args) -> int:
 
     pipe = build_pipeline()
     p = ch.random_euler_point(args.seed, pipe.region, spread=args.spread)
-    rank, svals, threshold = pipe.engine.chart_rank(p, h=args.step)
+    rank, svals, threshold = pipe.engine.chart_rank(p)
     payload = {
         "command": "rank",
         "seed": args.seed,
@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             default=default_threads,
-            help="BLAS thread cap or 'auto' (env override: E8LIE_THREADS)",
+            help="echoed in the config line; does not yet cap BLAS threads "
+            "(env override: E8LIE_THREADS)",
         )
         p.add_argument("--out", default=None, help="write the JSON payload here")
 
@@ -292,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_element)
 
     p = sub.add_parser("rank", help="numerical chart rank at a seeded generic point")
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--step", type=float, default=1e-5,
+                   help="unused (the Jacobian is exact); accepted and echoed")
     p.add_argument("--spread", type=float, default=0.6)
     common(p)
     p.set_defaults(func=cmd_rank)

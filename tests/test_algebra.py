@@ -31,6 +31,11 @@ GREEDY_CARTAN_ALPHAS = (1, 10, 19, 28, 37, 46, 55, 64)
 DISPLAY_SPINOR_FACTOR = -4
 
 
+def _ad_matrix(rep, flat):
+    """ad(basis_flat) as a dense doubled half-integer matrix."""
+    return HalfIntMatrix(np.asarray(rep.mats[flat].todense(), dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # basis indexing
 
@@ -379,7 +384,7 @@ def test_killing_form_frozen(rep):
 
 
 def test_trace_pairing_adjoint_frozen(rep):
-    m = rep.matrix(vector_flat(1, 2))
+    m = _ad_matrix(rep, vector_flat(1, 2))
     v = trace_pairing(m, m)
     assert v == TRACE_PAIRING_ADJ12_DOUBLED
     assert v < 0
@@ -393,7 +398,7 @@ def test_killing_ad_invariance(rep, tensor):
     rng = np.random.default_rng(9)
     for _ in range(12):
         z, x, y = (
-            rep.matrix(int(i)).scale_by_int(2) for i in rng.integers(0, 248, 3)
+            _ad_matrix(rep, int(i)).scale_by_int(2) for i in rng.integers(0, 248, 3)
         )
         assert trace_pairing(commutator(z, x), y) + trace_pairing(x, commutator(z, y)) == 0
 

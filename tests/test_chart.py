@@ -10,7 +10,6 @@ from e8lie.chart import (
     in_region_roots_batch,
     in_region_solved,
     in_region_solved_batch,
-    region_centroid,
     region_equivalence_report,
     region_vertices,
     sample_region,
@@ -18,6 +17,11 @@ from e8lie.chart import (
 
 INTERIOR_WITNESS = [0.05, 0.06, 0.07, 0.08, 0.09, 0.10, 0.11, 0.5]
 ORDER_VIOLATION = [0.2, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7, 2.0]
+
+
+def region_centroid(region):
+    """Exact mean of the uniform law on the simplex: the vertex average."""
+    return region_vertices(region).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +258,6 @@ def test_chart_orthogonal_killing_preserving(engine, region):
 
 
 def test_euler_point_round_trip():
-    rng = np.random.default_rng(29)
-    v = rng.normal(size=248)
-    p = EulerPoint.from_vector(v)
-    assert np.array_equal(p.as_vector(), v)
     with pytest.raises(ValueError):
         EulerPoint(np.zeros(3), np.zeros(8), np.zeros(120))
 
@@ -272,6 +272,45 @@ def test_chart_rank_at_origin_is_deficient(engine):
 def test_chart_rank_stable_between_nearby_points(engine, region):
     p = ch.random_euler_point(3, region, 0.6)
     r1, _, _ = engine.chart_rank(p)
-    q = EulerPoint.from_vector(p.as_vector() + 0.01)
+    q = EulerPoint(p.x + 0.01, p.y + 0.01, p.z + 0.01)
     r2, _, _ = engine.chart_rank(q)
     assert r1 == r2 == 248
+
+
+def _shifted(p, j, d):
+    """p with coordinate j of (x, y, z) moved by d."""
+    c = np.concatenate([p.x, p.y, p.z])
+    c[j] += d
+    return EulerPoint(c[:120], c[120:128], c[128:])
+
+
+def _ad(rep, v):
+    """ad(v) as a dense float matrix, v in true coordinates of the basis."""
+    out = np.zeros((248, 248))
+    for i in np.flatnonzero(v):
+        out += v[i] * rep.mats[i].toarray()
+    return out / 2.0
+
+
+def test_chart_jacobian_matches_finite_differences(engine, region, rep):
+    # the independent reference: central differences of chart(), two calls
+    # per column, against g ad(column / sqrt(60))
+    p = ch.random_euler_point(3, region, 0.6)
+    g = engine.chart(p)
+    jac = engine.chart_jacobian(p)
+    assert jac.shape == (248, 248)
+    h = 1e-5
+    for j in (0, 57, 120, 127, 128, 247):  # x0, x57, y0, y7, z0, z119
+        fd = (engine.chart(_shifted(p, j, h)) - engine.chart(_shifted(p, j, -h))) / (2 * h)
+        assert np.abs(fd - g @ _ad(rep, jac[:, j] / np.sqrt(60.0))).max() < 1e-8
+
+
+def test_chart_jacobian_kak_density(engine, region):
+    # KAK: at fixed x and z the y-dependence of det J is prod_p sin theta_p(y)
+    p = ch.random_euler_point(3, region, 0.6)
+    rest = []
+    for y in sample_region(37, region, 5):
+        _, logdet = np.linalg.slogdet(engine.chart_jacobian(EulerPoint(p.x, y, p.z)) / np.sqrt(60.0))
+        rest.append(logdet - np.log(np.abs(np.sin(engine.td.rates @ y))).sum())
+    print("log|det J/sqrt(60)| - sum log|sin theta|:", " ".join(f"{v:.12f}" for v in rest))
+    assert np.ptp(rest) < 1e-9

@@ -1,11 +1,17 @@
-"""The staged build through the public stage functions, as the benchmark
-harness (perfbench/child.py, staged_build and layer_probes) performs it, so
-that a renamed function, parameter or attribute fails here first."""
+"""The interfaces the benchmark harness (perfbench/child.py) calls: the
+staged build as staged_build and layer_probes perform it, and the chart
+methods instrument_layers wraps and run_chart calls, so that a renamed
+function, parameter or attribute fails here first."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 
-from e8lie import algebra, clifford, halfint, roots
+from e8lie import algebra, chart, clifford, halfint, roots
 from e8lie.pipeline import Pipeline
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 
 def test_staged_build_interface(pipe):
@@ -23,3 +29,14 @@ def test_staged_build_interface(pipe):
     assert sum(m.nnz for m in staged.rep.mats) == sum(m.nnz for m in pipe.rep.mats)
     assert staged.cartan == pipe.cartan
     assert staged.engine is not None
+
+
+def test_chart_interface(engine, region):
+    wrapped = set(re.findall(r'\(chart\.ChartEngine, "(\w+)"', CHILD.read_text()))
+    assert {"chart", "subgroup_element", "torus_element", "chart_jacobian", "chart_rank"} <= wrapped
+    for name in wrapped:
+        assert callable(getattr(chart.ChartEngine, name, None)), name
+    rank, svals, threshold = engine.chart_rank(chart.random_euler_point(3, region, 0.6))
+    assert isinstance(rank, int) and rank == 248
+    assert svals.shape == (248,) and float(svals[247]) > threshold
+    assert isinstance(threshold, float)
