@@ -158,31 +158,25 @@ def sample_region(seed_or_rng, region: TorusRegion, n: int | None = None) -> np.
 class TorusDecomposition:
     """Orthogonal basis splitting the space into 120 rotation planes + Cartan.
 
-    q columns 2p, 2p+1 carry plane p; the last 8 columns span the Cartan.
-    rates[p, a] is the true rotation rate of plane p under the a-th
-    (relabeled) Cartan generator.
+    q columns 2p, 2p+1 (row p of plane_cols) carry plane p; the last 8
+    columns span the Cartan.  rates[p, a] is the true rotation rate of plane
+    p under the a-th (relabeled) Cartan generator: row p is the plane's
+    positive root times the scale.
     """
 
     q: np.ndarray                        # 248 x 248 orthogonal
-    plane_cols: list[tuple[int, int]]
+    plane_cols: np.ndarray               # 120 x 2 column pairs
     fixed_cols: tuple[int, ...]
     rates: np.ndarray                    # 120 x 8 true rates
 
 
 def torus_decomposition(rs: RootSystem, rep: AdjointRep) -> TorusDecomposition:
     q = np.zeros((DIM, DIM))
-    plane_cols = []
-    rates = np.zeros((120, RANK))
-    sfloat = float(rs.scale)
-    for p, plane in enumerate(rs.planes):
-        q[:, 2 * p] = plane.basis[:, 0]
-        q[:, 2 * p + 1] = plane.basis[:, 1]
-        plane_cols.append((2 * p, 2 * p + 1))
-        rates[p] = sfloat * np.array(plane.root.coords, dtype=np.float64) / 2.0
-    fixed = tuple(range(240, DIM))
-    for k, flat in enumerate(rs.fixed_flats):
-        q[flat, 240 + k] = 1.0
-    td = TorusDecomposition(q=q, plane_cols=plane_cols, fixed_cols=fixed, rates=rates)
+    q[:, :240] = rs.plane_basis
+    q[list(rs.fixed_flats), range(240, DIM)] = 1.0
+    rates = float(rs.scale) * rs.plane_roots.astype(np.float64) / 2.0
+    td = TorusDecomposition(q=q, plane_cols=np.arange(240).reshape(120, 2),
+                            fixed_cols=tuple(range(240, DIM)), rates=rates)
     _validate_decomposition(td, rs, rep)
     return td
 
@@ -205,12 +199,12 @@ def _validate_decomposition(td: TorusDecomposition, rs: RootSystem, rep: Adjoint
     err_orth = np.abs(q.T @ q - np.eye(DIM)).max()
     if err_orth > 1e-12:
         raise RuntimeError(f"decomposition basis not orthogonal: {err_orth:.2e}")
+    c1, c2 = td.plane_cols.T
+    expected = np.zeros((DIM, DIM))
     for a, c in enumerate(final_cartan_matrices(rs, rep)):
         b = q.T @ c @ q
-        expected = np.zeros((DIM, DIM))
-        for p, (c1, c2) in enumerate(td.plane_cols):
-            expected[c1, c2] = td.rates[p, a]
-            expected[c2, c1] = -td.rates[p, a]
+        expected[c1, c2] = td.rates[:, a]
+        expected[c2, c1] = -td.rates[:, a]
         err = np.abs(b - expected).max()
         if err > 1e-10:
             raise RuntimeError(f"block validation failed for axis {a}: {err:.2e}")
@@ -231,7 +225,7 @@ def torus_element(y, td: TorusDecomposition) -> np.ndarray:
     """exp(sum_a y_a C'_a) through plane rotations; exactly orthogonal blocks."""
     theta = td.rates @ np.asarray(y, dtype=np.float64)
     w = td.q.T.copy()
-    i1, i2 = np.array(td.plane_cols).T
+    i1, i2 = td.plane_cols.T
     _rotate_rows(w, i1, i2, theta)
     return td.q @ w
 

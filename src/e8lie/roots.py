@@ -3,9 +3,11 @@
 A generic combination A(t) = sum_a t_a ad(C_a) is diagonalized in floating
 point (via the Hermitian matrix i*A), the 8 Rayleigh rates of every root
 vector are snapped to exact half-integers after a small rational scale
-search, and all downstream structure (positivity, simple roots, Cartan
-matrix, highest root, marks, Weyl closure) is recomputed and certified in
-exact integer arithmetic on the snapped data.
+search, and everything downstream is derived in exact integer arithmetic
+from one table: the 240 x 8 int64 array of snapped doubled roots.  Each row
+is also one integer key (base 9), so positivity, simple roots, the highest
+root and its marks, the Cartan matrix and root membership tests are array
+steps on that table.
 
 Coordinate labeling: the snapped root set is always the standard E8
 pattern, 112 integer roots with two entries +-1 plus 128 all-half-integer
@@ -19,21 +21,28 @@ take the conventional rows
 
 with marks (2, 3, 4, 6, 5, 4, 3, 2).  The recorded labeling applies to the
 Cartan basis order used by the torus chart.
+
+The 120 torus planes are two arrays: a 248 x 240 orthonormal basis (plane p
+in columns 2p, 2p+1) and a 120 x 8 table of their delivered-gauge roots.
+Each plane is oriented by its positive root, so the root rows are exactly
+the positive roots and, for y inside the Euler range, every plane angle
+<root, y> lies in (0, pi).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import DIM, NV, NS, AdjointRep, CartanSet
+from .algebra import DIM, AdjointRep, CartanSet
 
 RANK = 8
 
 # positivity functional weights (applied to the working gauge)
-_POS_WEIGHTS = tuple(8 ** (7 - a) for a in range(8))
+_POS_WEIGHTS = 8 ** np.arange(RANK - 1, -1, -1, dtype=np.int64)
 
 # conventional simple rows (doubled coordinates, conventional order)
 CONVENTIONAL_SIMPLES_DOUBLED = (
@@ -70,19 +79,8 @@ class Root:
     def true(self) -> tuple[float, ...]:
         return tuple(c / 2.0 for c in self.coords)
 
-    def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coords))
-
     def is_integer_type(self) -> bool:
         return all(c % 2 == 0 for c in self.coords)
-
-
-@dataclass(frozen=True)
-class Plane:
-    """A rotation 2-plane of the torus action, carrying its root."""
-
-    root: Root               # final-gauge coordinates
-    basis: np.ndarray        # 248 x 2 real orthonormal columns
 
 
 @dataclass
@@ -98,9 +96,16 @@ class RootSystem:
     axis_reversed: bool               # recorded relabeling: coordinate reversal
     conventional_labeling: bool       # delivered rows match the conventional ones
     literal_raw_match: bool           # raw snapped set already contained them
-    planes: list[Plane]               # 120 torus planes, final-gauge roots
+    plane_basis: np.ndarray           # 248 x 240, plane p in columns 2p, 2p+1
+    plane_roots: np.ndarray           # 120 x 8 int64 doubled, final gauge, positive
     fixed_flats: tuple[int, ...]      # flat indices spanning the Cartan
     snap_residual: float
+
+
+def _key(rows) -> np.ndarray:
+    """One integer per doubled row (last axis); exact for entries in [-4, 4],
+    so also for sums and differences of two roots."""
+    return ((np.asarray(rows, dtype=np.int64) + 4) * 9 ** np.arange(RANK, dtype=np.int64)).sum(axis=-1)
 
 
 def _deterministic_t(retry: int) -> np.ndarray:
@@ -108,16 +113,17 @@ def _deterministic_t(retry: int) -> np.ndarray:
     return np.array([1.0 / (100 + 7 * (a + 1) + 97 * retry) for a in range(RANK)])
 
 
-def _eigen_rates(cartan_floats, tol, retry):
-    """Joint eigenvalue rates of the Cartan action for one generic t."""
+def _eigen_rates(cartan, tol, retry):
+    """Joint eigenvalue rates of the Cartan action for one generic t.
+
+    cartan holds the 8 Cartan generators (true values) as sparse matrices.
+    """
     t = _deterministic_t(retry)
-    a = sum(t[i] * cartan_floats[i] for i in range(RANK))
-    evals, evecs = np.linalg.eigh(1j * a)
+    a = sum(t[i] * cartan[i] for i in range(RANK))
+    evals, evecs = np.linalg.eigh(1j * a.toarray())
     kernel = np.abs(evals) < 1e-8
     if int(kernel.sum()) != RANK:
-        raise RootExtractionError(
-            f"kernel multiplicity {int(kernel.sum())} != 8 for t retry {retry}"
-        )
+        raise RootExtractionError(f"kernel multiplicity {int(kernel.sum())} != 8 for t retry {retry}")
     nz = np.flatnonzero(~kernel)
     lam = evals[nz]
     gaps = np.diff(np.sort(lam))
@@ -125,7 +131,7 @@ def _eigen_rates(cartan_floats, tol, retry):
         return None  # eigenvalue collision: caller retries with the next t
     # Rayleigh rates Im(v^H C_i v) of every eigenvector, one product per C_i
     v = evecs[:, nz]
-    rates = np.stack([np.imag(np.sum(v.conj() * (c @ v), axis=0)) for c in cartan_floats], axis=1)
+    rates = np.stack([np.imag(np.sum(v.conj() * (c @ v), axis=0)) for c in cartan], axis=1)
     return rates, v, lam
 
 
@@ -146,66 +152,51 @@ def _snap(rates: np.ndarray, tol: float):
 
 
 def _extract(c: CartanSet, rep: AdjointRep, tol: float):
-    cartan_floats = [np.asarray(rep.mats[f].todense(), dtype=np.float64) / 2.0 for f in c.flats]
-    got = None
+    cartan = [rep.mats[f] / 2.0 for f in c.flats]
     for retry in range(8):
-        got = _eigen_rates(cartan_floats, tol, retry)
+        got = _eigen_rates(cartan, tol, retry)
         if got is not None:
             break
-    if got is None:
+    else:
         raise RootExtractionError("no non-degenerate generic t found")
     rates, vecs, lam = got
     scale, dbl, resid = _snap(rates, tol)
-    roots = {tuple(r) for r in dbl.tolist()}
-    if len(roots) != 240:
-        raise RootExtractionError(f"expected 240 distinct roots, got {len(roots)}")
-    for r in roots:
-        if tuple(-x for x in r) not in roots:
-            raise RootExtractionError("root set not closed under negation")
-    return {
-        "dbl": dbl,
-        "scale": scale,
-        "vecs": vecs,
-        "lam": lam,
-        "resid": resid,
-        "cartan_floats": cartan_floats,
-    }
+    keys = _key(dbl)
+    if np.unique(keys).size != 240:
+        raise RootExtractionError(f"expected 240 distinct roots, got {np.unique(keys).size}")
+    if not np.isin(_key(-dbl), keys).all():
+        raise RootExtractionError("root set not closed under negation")
+    return {"dbl": dbl, "scale": scale, "vecs": vecs, "lam": lam, "resid": resid}
 
 
 def positivity_value(dbl_coords) -> int:
     """Deterministic positivity functional on doubled coordinates (no ties)."""
-    return sum(int(w) * int(x) for w, x in zip(_POS_WEIGHTS, dbl_coords))
+    return int(np.asarray(dbl_coords, dtype=np.int64) @ _POS_WEIGHTS)
 
 
-def choose_positive_and_simple(roots: list[tuple[int, ...]]):
-    """Positives by the weight functional; simples by two-sum elimination."""
-    vals = {r: positivity_value(r) for r in roots}
-    if any(v == 0 for v in vals.values()):
+def choose_positive_and_simple(roots):
+    """Positives by the weight functional; simples are the positives that are
+    no difference of two positives.  Both are int64 row arrays in input order."""
+    r = np.asarray(roots, dtype=np.int64)
+    vals = r @ _POS_WEIGHTS
+    if not vals.all():
         raise RootExtractionError("positivity functional tie")
-    positives = [r for r in roots if vals[r] > 0]
-    pos_set = set(positives)
-    simples = []
-    for r in positives:
-        ra = np.array(r)
-        if not any(tuple(ra - np.array(p)) in pos_set for p in positives):
-            simples.append(r)
+    positives = r[vals > 0]
+    diffs = positives[:, None, :] - positives[None, :, :]
+    simples = positives[~np.isin(_key(diffs), _key(positives)).any(axis=1)]
     if len(simples) != RANK:
         raise RootExtractionError(f"expected 8 simple roots, found {len(simples)}")
     return positives, simples
 
 
-def cartan_matrix_of(simples_dbl: list[tuple[int, ...]]) -> np.ndarray:
+def cartan_matrix_of(simples_dbl) -> np.ndarray:
     """2 (a_i, a_j) / (a_j, a_j) with the Euclidean pairing; exact integers."""
-    s = np.array(simples_dbl, dtype=np.int64)
-    gram4 = s @ s.T  # 4x the true Gram
-    norms4 = np.diagonal(gram4)
-    c = np.empty((RANK, RANK), dtype=np.int64)
-    for i in range(RANK):
-        for j in range(RANK):
-            num = 2 * int(gram4[i, j])
-            if num % int(norms4[j]):
-                raise RootExtractionError("non-integer Cartan matrix entry")
-            c[i, j] = num // int(norms4[j])
+    s = np.asarray(simples_dbl, dtype=np.int64)
+    num = 2 * (s @ s.T)  # 8x the true Gram
+    norms4 = np.diagonal(num) // 2
+    if (num % norms4).any():
+        raise RootExtractionError("non-integer Cartan matrix entry")
+    c = num // norms4
     if not (np.diagonal(c) == 2).all():
         raise RootExtractionError("Cartan matrix diagonal is not all 2")
     return c
@@ -228,115 +219,52 @@ E8_CARTAN = np.array(
 
 
 def permutation_equivalent(c: np.ndarray, target: np.ndarray = E8_CARTAN) -> bool:
-    """Simultaneous row/column permutation equivalence by backtracking.
+    """Simultaneous row/column permutation equivalence.
 
-    Matches vertices of the two Dynkin graphs degree-first; the 8x8 case
-    finishes instantly.
+    Tries every bijection that maps each vertex of the Dynkin graph of c to a
+    vertex of equal degree in that of target (144 of them for E8).
     """
-    n = c.shape[0]
-
-    def deg(m, i):
-        return int((m[i] != 0).sum()) - 1
-
-    cdeg = [deg(c, i) for i in range(n)]
-    tdeg = [deg(target, i) for i in range(n)]
+    c, target = np.asarray(c), np.asarray(target)
+    cdeg, tdeg = (c != 0).sum(axis=1), (target != 0).sum(axis=1)
     if sorted(cdeg) != sorted(tdeg):
         return False
-
-    assignment = [-1] * n
-    used = [False] * n
-
-    def ok(i, j):
-        for i2 in range(n):
-            j2 = assignment[i2]
-            if j2 >= 0:
-                if c[i, i2] != target[j, j2] or c[i2, i] != target[j2, j]:
-                    return False
-        return True
-
-    def rec(i):
-        if i == n:
+    degrees = sorted(set(cdeg.tolist()))
+    perm = np.empty(len(cdeg), dtype=np.int64)
+    for images in itertools.product(*(itertools.permutations(np.flatnonzero(tdeg == d)) for d in degrees)):
+        for d, image in zip(degrees, images):
+            perm[cdeg == d] = image
+        if (target[np.ix_(perm, perm)] == c).all():
             return True
-        for j in range(n):
-            if not used[j] and cdeg[i] == tdeg[j] and ok(i, j):
-                assignment[i] = j
-                used[j] = True
-                if rec(i + 1):
-                    return True
-                assignment[i] = -1
-                used[j] = False
-        return False
-
-    return rec(0)
+    return False
 
 
 def highest_root_and_marks(positives, simples):
     """The unique positive root with r + a_i never a root, and its marks."""
-    pos_set = set(positives)
-    all_roots = pos_set | {tuple(-np.array(r)) for r in positives}
-    tops = [
-        r
-        for r in positives
-        if all(tuple(np.array(r) + np.array(s)) not in all_roots for s in simples)
-    ]
+    pos, s = np.asarray(positives, dtype=np.int64), np.asarray(simples, dtype=np.int64)
+    root_keys = np.r_[_key(pos), _key(-pos)]
+    tops = pos[~np.isin(_key(pos[:, None, :] + s[None, :, :]), root_keys).any(axis=1)]
     if len(tops) != 1:
         raise RootExtractionError(f"highest root not unique: {len(tops)} candidates")
     high = tops[0]
-    smat = np.array(simples, dtype=np.float64).T
-    n = np.linalg.solve(smat, np.array(high, dtype=np.float64))
-    marks = tuple(int(round(x)) for x in n)
+    marks = np.rint(np.linalg.solve(s.T.astype(np.float64), high.astype(np.float64))).astype(np.int64)
     # exact verification of the solve
-    recon = sum(m * np.array(s, dtype=np.int64) for m, s in zip(marks, simples))
-    if not np.array_equal(recon, np.array(high, dtype=np.int64)):
+    if not np.array_equal(marks @ s, high):
         raise RootExtractionError("marks do not reproduce the highest root exactly")
-    if any(m <= 0 for m in marks):
+    if (marks <= 0).any():
         raise RootExtractionError("marks must be positive")
-    return high, marks
+    return high, tuple(int(m) for m in marks)
 
 
-def decompose_in_simples(root_dbl, simples) -> tuple[int, ...]:
-    """Exact integer coefficients of a root over the simple roots."""
-    smat = np.array(simples, dtype=np.float64).T
-    n = np.linalg.solve(smat, np.array(root_dbl, dtype=np.float64))
-    coeff = tuple(int(round(x)) for x in n)
-    recon = sum(m * np.array(s, dtype=np.int64) for m, s in zip(coeff, simples))
-    if not np.array_equal(recon, np.array(root_dbl, dtype=np.int64)):
-        raise RootExtractionError("root is not an integer combination of simples")
-    return coeff
-
-
-def weyl_reflection_closure(roots: list[tuple[int, ...]]) -> bool:
+def weyl_reflection_closure(roots) -> bool:
     """s_a(b) = b - <a,b> a is a root for all pairs (full brute force)."""
-    arr = np.array(roots, dtype=np.int64)
-    rset = {tuple(r) for r in roots}
+    arr = np.asarray(roots, dtype=np.int64)
     pair4 = arr @ arr.T  # 4x true pairings
     if (pair4 % 4).any():
         return False
-    pair = pair4 // 4  # true pairings; all roots have norm 2 here
-    for i in range(len(roots)):
-        reflected = arr - pair[i][:, None] * arr[i][None, :]
-        for row in reflected:
-            if tuple(row) not in rset:
-                return False
-    return True
-
-
-def root_string_rule(roots: list[tuple[int, ...]]) -> bool:
-    """r + r' is a root iff (r, r') = -1, for all pairs with r' != +-r."""
-    arr = np.array(roots, dtype=np.int64)
-    rset = {tuple(r) for r in roots}
-    pair = (arr @ arr.T) // 4
-    n = len(roots)
-    for i in range(n):
-        sums = arr + arr[i][None, :]
-        for j in range(n):
-            rj = tuple(arr[j])
-            if rj == tuple(arr[i]) or rj == tuple(-arr[i]):
-                continue
-            is_root = tuple(sums[j]) in rset
-            if is_root != (pair[i, j] == -1):
-                return False
-    return True
+    # reflected[i, j] = s_{a_i}(a_j); all roots have norm 2 here
+    reflected = arr[None, :, :] - (pair4 // 4)[:, :, None] * arr[:, None, :]
+    # a row outside [-2, 2] is no root (and would leave the exact key range)
+    return bool((np.abs(reflected) <= 2).all() and np.isin(_key(reflected), _key(arr)).all())
 
 
 def build_root_system(rep: AdjointRep, cartan: CartanSet, tol: float = 1e-9) -> RootSystem:
@@ -345,71 +273,61 @@ def build_root_system(rep: AdjointRep, cartan: CartanSet, tol: float = 1e-9) -> 
     dbl = data["dbl"]
 
     # parity normalization: flip the last axis if the half-integer class is odd
-    half_rows = [r for r in dbl.tolist() if all(abs(x) == 1 for x in r)]
-    if len(half_rows) != 128:
+    half = (np.abs(dbl) == 1).all(axis=1)
+    if half.sum() != 128:
         raise RootExtractionError("expected 128 half-integer-type roots")
-    parities = {sum(1 for x in r if x < 0) % 2 for r in half_rows}
-    if len(parities) != 1:
+    parity = (dbl[half] < 0).sum(axis=1) % 2
+    if (parity != parity[0]).any():
         raise RootExtractionError("half-integer roots are not a single parity class")
-    axis_signs = [1] * RANK
-    if parities.pop() == 1:
-        axis_signs[-1] = -1
-    signs = np.array(axis_signs, dtype=np.int64)
+    signs = np.ones(RANK, dtype=np.int64)
+    signs[-1] = 1 - 2 * parity[0]
 
-    literal_raw_match = set(CONVENTIONAL_SIMPLES_DOUBLED) <= {
-        tuple(r) for r in dbl.tolist()
-    }
+    conventional = np.array(CONVENTIONAL_SIMPLES_DOUBLED, dtype=np.int64)
+    literal_raw_match = bool(np.isin(_key(conventional), _key(dbl)).all())
 
-    fixed = [tuple(r) for r in (dbl * signs[None, :]).tolist()]
+    # working gauge: parity-normalized; delivered gauge: the axes reversed
+    fixed = dbl * signs
     positives, simples = choose_positive_and_simple(fixed)
-    high, _ = highest_root_and_marks(positives, simples)
-
-    # recorded relabeling: reverse the axis order
-    rev = lambda r: tuple(reversed(r))
-    delivered_set = {rev(r) for r in simples}
-    conventional_labeling = delivered_set == set(CONVENTIONAL_SIMPLES_DOUBLED)
+    delivered_simples = simples[:, ::-1]
+    conventional_labeling = bool(np.isin(_key(delivered_simples), _key(conventional)).all())
     if conventional_labeling:
-        delivered_simples = [tuple(r) for r in CONVENTIONAL_SIMPLES_DOUBLED]
+        delivered_simples = conventional
     else:
-        delivered_simples = sorted(delivered_set, key=positivity_value)
-    delivered_positives = [rev(r) for r in positives]
-    delivered_roots = [rev(r) for r in fixed]
-    delivered_high = rev(high)
+        delivered_simples = delivered_simples[np.argsort(delivered_simples @ _POS_WEIGHTS)]
+    delivered_positives = positives[:, ::-1]
+    high, marks = highest_root_and_marks(delivered_positives, delivered_simples)
 
-    cmat = cartan_matrix_of(delivered_simples)
-    high2, marks = highest_root_and_marks(delivered_positives, delivered_simples)
-    if high2 != delivered_high:
-        raise RootExtractionError("highest root changed under relabeling")
-
-    # final-gauge plane data for the torus decomposition: keep the positive-rate
-    # member of each conjugate eigenvector pair
+    # torus planes: the positive-rate member v of each conjugate eigenvector
+    # pair spans (sqrt2 Re v, sqrt2 Im v); where its root is negative, negate
+    # the second column and the root, so every plane carries its positive root
     vecs, lam = data["vecs"], data["lam"]
-    planes = []
     pos_cols = np.flatnonzero(lam > 0)
     if pos_cols.size != 120:
         raise RootExtractionError("expected 120 positive-rate eigenplanes")
-    for col in pos_cols:
-        v = vecs[:, col]
-        raw = dbl[col]
-        final = rev(tuple((raw * signs).tolist()))
-        q = np.empty((DIM, 2))
-        q[:, 0] = np.sqrt(2.0) * np.real(v)
-        q[:, 1] = np.sqrt(2.0) * np.imag(v)
-        planes.append(Plane(root=Root(final), basis=q))
+    plane_fixed = fixed[pos_cols]
+    orient = np.where(plane_fixed @ _POS_WEIGHTS > 0, 1, -1)
+    v = vecs[:, pos_cols]
+    plane_basis = np.empty((DIM, 240))
+    plane_basis[:, 0::2] = np.sqrt(2.0) * np.real(v)
+    plane_basis[:, 1::2] = orient * (np.sqrt(2.0) * np.imag(v))
+
+    def as_roots(rows):
+        return [Root(tuple(r)) for r in rows.tolist()]
 
     return RootSystem(
-        roots=[Root(r) for r in delivered_roots],
+        roots=as_roots(fixed[:, ::-1]),
         scale=data["scale"],
-        positives=[Root(r) for r in delivered_positives],
-        simples=[Root(r) for r in delivered_simples],
-        highest=Root(delivered_high),
-        cartan_matrix=cmat,
+        positives=as_roots(delivered_positives),
+        simples=as_roots(delivered_simples),
+        highest=Root(tuple(high.tolist())),
+        cartan_matrix=cartan_matrix_of(delivered_simples),
         marks=marks,
-        axis_signs=tuple(int(s) for s in signs),
+        axis_signs=tuple(signs.tolist()),
         axis_reversed=True,
         conventional_labeling=conventional_labeling,
         literal_raw_match=literal_raw_match,
-        planes=planes,
+        plane_basis=plane_basis,
+        plane_roots=(orient[:, None] * plane_fixed)[:, ::-1],
         fixed_flats=cartan.flats,
         snap_residual=data["resid"],
     )

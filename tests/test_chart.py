@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,15 @@ def test_decomposition_shapes(engine):
     assert len(td.fixed_cols) == 8
     err = np.abs(td.q.T @ td.q - np.eye(248)).max()
     assert err < 1e-12
+
+
+def test_decomposition_check_rejects_a_turned_rate(engine, root_system, rep):
+    ch._validate_decomposition(engine.td, root_system, rep)
+    rates = engine.td.rates.copy()
+    rates[5] *= -1.0  # one plane's rate reversed, its basis columns kept
+    bad = dataclasses.replace(engine.td, rates=rates)
+    with pytest.raises(RuntimeError, match=r"block validation failed for axis \d"):
+        ch._validate_decomposition(bad, root_system, rep)
 
 
 def test_torus_identity(engine):

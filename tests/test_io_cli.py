@@ -1,13 +1,19 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from e8lie import cli
 from e8lie.halfint import HalfIntMatrix
 from e8lie.io import read_bundle, write_bundle
+
+# the benchmark's pinned artifact digests (read only)
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def test_bundle_roundtrip_bin(tmp_path):
@@ -139,6 +145,16 @@ def test_cli_roots_reproducible(tmp_path):
     data = json.loads(open(a).read())
     assert len(data["roots_doubled"]) == 240
     assert data["marks"] == [2, 3, 4, 6, 5, 4, 3, 2]
+
+
+def test_cli_artifacts_match_golden_digests(tmp_path, capsys):
+    digests = json.loads(GOLDEN.read_text())["digests"]
+    out = tmp_path / "roots.json"
+    assert cli.main(["roots", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests["roots"]
+    capsys.readouterr()
+    assert cli.main(["region", "--check", "0.05,0.06,0.07,0.08,0.09,0.10,0.11,0.5"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digests["region_check"]
 
 
 def test_cli_verify_clifford():

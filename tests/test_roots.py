@@ -8,16 +8,44 @@ from e8lie.roots import (
     Root,
     cartan_matrix_of,
     choose_positive_and_simple,
-    decompose_in_simples,
     permutation_equivalent,
     positivity_value,
-    root_string_rule,
     weyl_reflection_closure,
 )
+from e8lie.chart import sample_region
 
 # frozen from the first extraction run
 EXPECTED_SCALE = "1"
 E8_MARKS = (2, 3, 4, 6, 5, 4, 3, 2)
+
+
+def decompose_in_simples(root_dbl, simples) -> tuple[int, ...]:
+    """Exact integer coefficients of a root over the simple roots."""
+    smat = np.array(simples, dtype=np.float64).T
+    n = np.linalg.solve(smat, np.array(root_dbl, dtype=np.float64))
+    coeff = tuple(int(round(x)) for x in n)
+    recon = sum(m * np.array(s, dtype=np.int64) for m, s in zip(coeff, simples))
+    if not np.array_equal(recon, np.array(root_dbl, dtype=np.int64)):
+        raise rt.RootExtractionError("root is not an integer combination of simples")
+    return coeff
+
+
+def root_string_rule(roots: list[tuple[int, ...]]) -> bool:
+    """r + r' is a root iff (r, r') = -1, for all pairs with r' != +-r."""
+    arr = np.array(roots, dtype=np.int64)
+    rset = {tuple(r) for r in roots}
+    pair = (arr @ arr.T) // 4
+    n = len(roots)
+    for i in range(n):
+        sums = arr + arr[i][None, :]
+        for j in range(n):
+            rj = tuple(arr[j])
+            if rj == tuple(arr[i]) or rj == tuple(-arr[i]):
+                continue
+            is_root = tuple(sums[j]) in rset
+            if is_root != (pair[i, j] == -1):
+                return False
+    return True
 
 
 def test_root_count_and_negation(root_system):
@@ -51,7 +79,7 @@ def test_contains_conventional_root_literally(root_system):
 
 
 def test_scale_stable_across_t_vectors(rep, cartan):
-    mats = [np.asarray(rep.mats[f].todense(), dtype=np.float64) / 2.0 for f in cartan.flats]
+    mats = [rep.mats[f] / 2.0 for f in cartan.flats]
     scales = []
     for retry in range(3):
         rates, _, _ = rt._eigen_rates(mats, 1e-9, retry)
@@ -63,7 +91,7 @@ def test_scale_stable_across_t_vectors(rep, cartan):
 
 def test_eigen_rates_match_rayleigh_loop(rep, cartan):
     # reference: one np.vdot Rayleigh quotient per eigenvector and generator
-    mats = [np.asarray(rep.mats[f].todense(), dtype=np.float64) / 2.0 for f in cartan.flats]
+    mats = [rep.mats[f] / 2.0 for f in cartan.flats]
     rates, vecs, _ = rt._eigen_rates(mats, 1e-9, 0)
     want = [[np.imag(np.vdot(v, m @ v)) for m in mats] for v in vecs.T]
     assert np.abs(rates - np.array(want)).max() < 1e-12
@@ -101,6 +129,22 @@ def test_cartan_matrix(root_system):
     c = root_system.cartan_matrix
     assert (np.diagonal(c) == 2).all()
     assert permutation_equivalent(c)
+    assert np.array_equal(cartan_matrix_of(CONVENTIONAL_SIMPLES_DOUBLED), rt.E8_CARTAN)
+
+
+def _chain_cartan(n):
+    return 2 * np.eye(n, dtype=np.int64) - np.eye(n, k=1, dtype=np.int64) - np.eye(n, k=-1, dtype=np.int64)
+
+
+def test_permutation_equivalent_separates_dynkin_graphs():
+    perm = np.random.default_rng(4).permutation(8)
+    assert permutation_equivalent(rt.E8_CARTAN[np.ix_(perm, perm)])
+    d8 = _chain_cartan(8)
+    d8[5, 7] = d8[7, 5] = -1  # the fork of D8: same degrees as E8, other graph
+    d8[6, 7] = d8[7, 6] = 0
+    assert not permutation_equivalent(d8)
+    assert not permutation_equivalent(_chain_cartan(8))  # A8
+    assert permutation_equivalent(d8[np.ix_(perm, perm)], d8)
 
 
 def test_all_roots_norm_two(root_system):
@@ -128,16 +172,25 @@ def test_highest_is_sum_of_marked_simples(root_system):
 def test_weyl_closure_and_strings(root_system):
     coords = [r.coords for r in root_system.roots]
     assert weyl_reflection_closure(coords)
+    assert not weyl_reflection_closure(coords[1:])  # the reflection of -r in itself is r
     assert root_string_rule(coords)
 
 
 def test_planes_and_fixed(root_system):
-    assert len(root_system.planes) == 120
+    assert len(root_system.plane_roots) == 120
+    assert root_system.plane_basis.shape == (248, 240)
     assert len(root_system.fixed_flats) == 8
-    plane_roots = {p.root.coords for p in root_system.planes}
+    plane_roots = {tuple(r) for r in root_system.plane_roots.tolist()}
     # one representative per +- pair
     for r in plane_roots:
         assert tuple(-x for x in r) not in plane_roots
+
+
+def test_planes_are_the_positive_roots(root_system, region, engine):
+    assert {tuple(r) for r in root_system.plane_roots.tolist()} == {r.coords for r in root_system.positives}
+    # so every plane angle <alpha, y> of an in-region y lies in (0, pi)
+    ys = sample_region(2718, region, 1000)
+    assert (np.sin(ys @ engine.td.rates.T) > 0).all()
 
 
 def test_root_validation():
@@ -172,3 +225,9 @@ def test_choose_positive_and_simple_on_reference_set():
     assert len(roots) == 240
     positives, simples = choose_positive_and_simple(roots)
     assert len(positives) == 120 and len(simples) == 8
+    # the set-lookup reference: input order kept, simples no difference of positives
+    want_pos = [r for r in roots if positivity_value(r) > 0]
+    pos_set = set(want_pos)
+    want_simple = [r for r in want_pos if not any(tuple(np.subtract(r, p)) in pos_set for p in want_pos)]
+    assert [tuple(r) for r in positives.tolist()] == want_pos
+    assert [tuple(r) for r in simples.tolist()] == want_simple
