@@ -28,15 +28,16 @@ Every pair suite (the defining relations, the Jacobi pair strata and both
 so(16) spinor checks) runs through one exact sparse engine, _pair_failures,
 whose right-hand sides come from the stored bracket table or, for the
 spinor checks, from the so(16) rule; reports are ordered by flat index.
+Only this engine, the QQQ scan and the exact certificates load scipy.sparse.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .clifford import (
     SpinorGenerators,
@@ -114,8 +115,9 @@ class AlgebraElement:
         return not self.coeffs.any()
 
 
-def _so16_structure() -> sp.csr_matrix:
-    """The so(16) rule as 120 doubled structure matrices, stacked.
+def _so16_structure():
+    """The so(16) rule as 120 doubled structure matrices, stacked, in the
+    form (vals, (rows, cols)), with no (row, col) repeated.
 
     Entry (a*120 + c, b) is twice the coefficient of J_c in
     [J_a, J_b] = d_jk J_il - d_jl J_ik - d_ik J_jl + d_il J_jk, where
@@ -135,9 +137,7 @@ def _so16_structure() -> sp.csr_matrix:
         rows.append(a[hit] * NV + flat[p, q])
         cols.append(b[hit])
         vals.append(np.where(p < q, v, -v))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(NV * NV, NV)
-    )
+    return np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))
 
 
 class StructureTensor:
@@ -165,9 +165,9 @@ class StructureTensor:
         pi, sg = d.perm, d.sign
 
         # vector-vector from the so(16) rule
-        vv = _so16_structure().tocoo()
-        va, vc = np.divmod(vv.row, NV)
-        up = va < vv.col
+        vv, (rows, vb) = _so16_structure()
+        va, vc = np.divmod(rows, NV)
+        up = va < vb
 
         # vector-spinor: coeff of Q_beta in [J_k, Q_alpha] is (Delta_k)_{beta,alpha},
         # the entry (alpha, beta) of the transpose
@@ -181,9 +181,9 @@ class StructureTensor:
         qq = alpha < beta
 
         a = np.concatenate([va[up], k, NV + alpha[qq]])
-        b = np.concatenate([vv.col[up], NV + alpha, NV + beta[qq]])
+        b = np.concatenate([vb[up], NV + alpha, NV + beta[qq]])
         c = np.concatenate([vc[up], NV + tp.ravel(), k[qq]])
-        v = np.concatenate([vv.data[up], ts.ravel(), -sg.ravel()[qq]])
+        v = np.concatenate([vv[up], ts.ravel(), -sg.ravel()[qq]])
         order = np.lexsort((c, b, a))
         return cls(a[order], b[order], c[order], v[order], pi, sg)
 
@@ -214,33 +214,52 @@ def abstract_bracket(x: AlgebraElement, y: AlgebraElement, t: StructureTensor) -
     return AlgebraElement(acc >> 2)
 
 
-def _ad_stack(t: StructureTensor) -> sp.csr_matrix:
-    """The adjoint matrices stacked: row A*248 + C, column B is the doubled
-    coefficient of basis_C in [basis_A, basis_B]."""
+def _ad_stack(t: StructureTensor):
+    """The adjoint matrices stacked as one CSR matrix: row A*248 + C, column
+    B is the doubled coefficient of basis_C in [basis_A, basis_B]."""
+    import scipy.sparse as sp
     rows = np.r_[t.a, t.b] * DIM + np.r_[t.c, t.c]
     return sp.csr_matrix((np.r_[t.v, -t.v], (rows, np.r_[t.b, t.a])), shape=(DIM * DIM, DIM))
 
 
 class AdjointRep:
-    """The 248 adjoint matrices, kept sparse (doubled int64 CSR).
+    """The 248 adjoint matrices, doubled: ad(basis_A) has entry (C, B) equal
+    to the coefficient of basis_C in [basis_A, basis_B].
 
-    matrices[A] has entry (C, B) equal to the structure coefficient of
-    basis_C in [basis_A, basis_B].
+    build(t) keeps the bracket table t, which entries(A) and dense(A) read.
+    mats, the 248 int64 CSR matrices of the exact engine, is built on first
+    access; AdjointRep(mats) takes a given list instead.
     """
 
-    def __init__(self, mats):
-        self.mats = mats
-
-    def __len__(self):
-        return len(self.mats)
+    def __init__(self, mats=None, t: StructureTensor | None = None):
+        if mats is not None:
+            self.mats = mats
+        self.t = t
 
     @classmethod
     def build(cls, t: StructureTensor) -> "AdjointRep":
-        m = _ad_stack(t)
-        return cls([m[a * DIM:(a + 1) * DIM] for a in range(DIM)])
+        return cls(t=t)
+
+    @cached_property
+    def mats(self) -> list:
+        m = _ad_stack(self.t)
+        return [m[a * DIM:(a + 1) * DIM] for a in range(DIM)]
+
+    def entries(self, f: int):
+        """(rows, cols, vals) of ad(basis_f): a table entry (f, b, c, v) is v
+        at (c, b) and an entry (a, f, c, v) is -v at (c, a)."""
+        t, fa, fb = self.t, self.t.a == f, self.t.b == f
+        return np.r_[t.c[fa], t.c[fb]], np.r_[t.b[fa], t.a[fb]], np.r_[t.v[fa], -t.v[fb]]
+
+    def dense(self, f: int) -> np.ndarray:
+        """ad(basis_f) as a dense int64 matrix."""
+        m = np.zeros((DIM, DIM), dtype=np.int64)
+        rows, cols, vals = self.entries(f)
+        m[rows, cols] = vals
+        return m
 
 
-def build_display_blocks(t: StructureTensor) -> list[sp.csr_matrix]:
+def build_display_blocks(t: StructureTensor) -> list:
     """The 248 block matrices in the display normalization (doubled CSR).
 
     The vector blocks are block-diagonal (so(16) constants and Delta_ij);
@@ -249,9 +268,9 @@ def build_display_blocks(t: StructureTensor) -> list[sp.csr_matrix]:
     row-first as displayed.  display_block_relation measures the exact
     factor against the canonical adjoint.
     """
+    import scipy.sparse as sp
     # vector blocks: identical content to the canonical ad(J_ij)
-    m = _ad_stack(t)
-    out = [m[a * DIM:(a + 1) * DIM] for a in range(NV)]
+    out = AdjointRep.build(t).mats[:NV]
     # spinor blocks with the explicit factor 4 and minus sign: in the block
     # of Q_alpha, entry (vector-row k, spinor-col beta) is
     # 4 * (Delta_k)_{alpha, beta} and (spinor-row beta, vector-col k) its negative
@@ -330,6 +349,7 @@ def _pair_failures(mats, structure, rows) -> np.ndarray:
     right-hand sides.  Returns mask[i, b], True where the pair (rows[i], b)
     fails.
     """
+    import scipy.sparse as sp
     n, d = len(mats), mats[0].shape[0]
     x = sp.vstack(mats, format="csr")
     v = x.reshape(n, d * d).tocsr()
@@ -402,10 +422,11 @@ def _verify_eq1_family(pi: np.ndarray, sg: np.ndarray, name: str) -> SuiteReport
     All 14400 ordered pairs of the doubled generators, rebuilt as sparse
     signed permutations from (pi, sg), against the so(16) rule.
     """
+    import scipy.sparse as sp
     mats = [sp.csr_matrix((sg[k], (np.arange(NS), pi[k])), shape=(NS, NS)) for k in range(NV)]
     (report,) = _pair_suites(
         mats,
-        _so16_structure(),
+        sp.csr_matrix(_so16_structure(), shape=(NV * NV, NV)),
         [(name, _RELATION_STRATA["vector-vector"])],
         lambda a, b: "[Delta(%d,%d), Delta(%d,%d)]" % (*VECTOR_PAIRS[a], *VECTOR_PAIRS[b]),
     )
@@ -483,6 +504,7 @@ def verify_jacobi(
     sampled report (n seeded triples) is read off the scan's failure table,
     and full_spinor also reports the scan itself.
     """
+    import scipy.sparse as sp
     reports = _pair_suites(
         rep.mats,
         _ad_stack(t),
@@ -558,6 +580,7 @@ def killing_form(rep: AdjointRep) -> HalfIntMatrix:
     trace(A @ B) = vec(A) . vec(B^T), so K is one sparse product of the
     rows vec(ad_A) with the rows vec(ad_B^T); doubled * doubled = 4x true.
     """
+    import scipy.sparse as sp
     vecs = sp.vstack([m.reshape(1, DIM * DIM) for m in rep.mats]).tocsr()
     vecs_t = sp.vstack([m.T.reshape(1, DIM * DIM) for m in rep.mats]).tocsr()
     quad = (vecs @ vecs_t.T).toarray()
@@ -651,6 +674,7 @@ def adjoint_rank(rep: AdjointRep, p: int = 1_000_003) -> int:
     most the rational one, so a full mod-p rank of the exact 248 x 248 Gram
     matrix F F^T certifies rank 248.
     """
+    import scipy.sparse as sp
     flat = sp.vstack([m.reshape(1, DIM * DIM) for m in rep.mats]).tocsr()
     return modp_rank((flat @ flat.T).toarray(), p)
 
@@ -662,8 +686,7 @@ def centralizer_dimension(rep: AdjointRep, cartan: CartanSet, p: int = 1_000_003
     matrix; its kernel contains the 8 chosen basis directions exactly, and
     a mod-p rank of 240 certifies the kernel is exactly 8-dimensional.
     """
-    stacked = sp.vstack([rep.mats[f] for f in cartan.flats])
-    dense = np.asarray(stacked.todense(), dtype=np.int64)
+    dense = np.vstack([rep.mats[f].toarray() for f in cartan.flats])
     # exact witnesses: the chosen basis directions are in the kernel
     for f in cartan.flats:
         if np.any(dense[:, f]):

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import DIM, NV, AdjointRep
 from .roots import RANK, RootSystem
@@ -190,22 +189,22 @@ def _cartan_axes(rs: RootSystem) -> list[tuple[int, int]]:
 
 def final_cartan_matrices(rs: RootSystem, rep: AdjointRep) -> list[np.ndarray]:
     """The relabeled Cartan generators as real matrices (true values)."""
-    return [sign * (np.asarray(rep.mats[flat].todense(), dtype=np.float64) / 2.0)
-            for flat, sign in _cartan_axes(rs)]
+    return [sign * (rep.dense(flat) / 2.0) for flat, sign in _cartan_axes(rs)]
 
 
 def _validate_decomposition(td: TorusDecomposition, rs: RootSystem, rep: AdjointRep):
+    # q orthogonal and C q = q B (so q^T C q = B) for each axis C, where
+    # column c2 of q B is rate * q[:, c1] and column c1 is -rate * q[:, c2]
     q = td.q
     err_orth = np.abs(q.T @ q - np.eye(DIM)).max()
     if err_orth > 1e-12:
         raise RuntimeError(f"decomposition basis not orthogonal: {err_orth:.2e}")
     c1, c2 = td.plane_cols.T
-    expected = np.zeros((DIM, DIM))
+    qb = np.zeros((DIM, DIM))
     for a, c in enumerate(final_cartan_matrices(rs, rep)):
-        b = q.T @ c @ q
-        expected[c1, c2] = td.rates[:, a]
-        expected[c2, c1] = -td.rates[:, a]
-        err = np.abs(b - expected).max()
+        qb[:, c2] = q[:, c1] * td.rates[:, a]
+        qb[:, c1] = -q[:, c2] * td.rates[:, a]
+        err = np.abs(c @ q - qb).max()
         if err > 1e-10:
             raise RuntimeError(f"block validation failed for axis {a}: {err:.2e}")
 
@@ -228,18 +227,6 @@ def torus_element(y, td: TorusDecomposition) -> np.ndarray:
     i1, i2 = td.plane_cols.T
     _rotate_rows(w, i1, i2, theta)
     return td.q @ w
-
-
-def expm_antisymmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthogonal exponential of a real antisymmetric matrix (oracle path)."""
-    a = np.asarray(a, dtype=np.float64)
-    if np.abs(a + a.T).max() >= 1e-12:
-        raise ValueError("input is not antisymmetric")
-    r = scipy.linalg.expm(a)
-    err = np.abs(r.T @ r - np.eye(a.shape[0])).max()
-    if err >= tol:
-        raise RuntimeError(f"exponential lost orthogonality: {err:.2e}")
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +266,10 @@ class ChartEngine:
         self.td = torus_decomposition(rs, rep)
         self._gen_planes = []
         for k in range(NV):
-            coo = rep.mats[k].tocoo()
-            upper = coo.row < coo.col
+            rows, cols, vals = rep.entries(k)
+            up = rows < cols
             # ad[row, col] = m, the true coefficient, and ad[col, row] = -m
-            self._gen_planes.append((coo.row[upper], coo.col[upper], coo.data[upper] / 2.0))
+            self._gen_planes.append((rows[up], cols[up], vals[up] / 2.0))
 
     def _subgroup_sweep(self, x: np.ndarray, g: np.ndarray, seen=None) -> np.ndarray:
         """g <- S(x) @ g in place, one factor exp(x_k ad(J_k)) at a time from
@@ -333,6 +320,7 @@ class ChartEngine:
 
         Returns (rank, singular values, threshold).
         """
+        import scipy.linalg
         jac = self.chart_jacobian(p)
         svals = scipy.linalg.svdvals(jac)
         threshold = svals[0] * 1e-6

@@ -8,7 +8,9 @@ failure, 2 on usage errors.
 
 Every run echoes its configuration as one JSON line on stderr.  The seed
 defaults to 0.  --threads is echoed in that line; it does not yet cap BLAS
-threading (BLAS is loaded before the option is read).
+threading (BLAS is loaded before the option is read).  The build and the
+queries need numpy only; scipy is loaded only by the verify suites
+(scipy.sparse) and by rank (scipy.linalg.svdvals).
 """
 
 from __future__ import annotations
@@ -68,16 +70,17 @@ def _count_arg(text: str) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .clifford import build_gamma_system, spinor_generators
     from .io import write_bundle
-    from .pipeline import build_pipeline
 
-    pipe = build_pipeline()
+    gammas = build_gamma_system()
+    spinors = spinor_generators(gammas)
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
-    for i, s in enumerate(pipe.gammas.sigma, start=1):
+    for i, s in enumerate(gammas.sigma, start=1):
         base = os.path.join(args.out_dir, f"sigma_{i:02d}")
         written.append(write_bundle(base, f"sigma_{i}", s, fmt=args.format))
-    for (i, j), d in sorted(pipe.spinors.delta.items()):
+    for (i, j), d in sorted(spinors.delta.items()):
         base = os.path.join(args.out_dir, f"delta_{i:02d}_{j:02d}")
         written.append(write_bundle(base, f"delta_{i}_{j}", d, fmt=args.format))
     print(json.dumps({"written": len(written), "out_dir": args.out_dir}))

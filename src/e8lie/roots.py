@@ -116,11 +116,11 @@ def _deterministic_t(retry: int) -> np.ndarray:
 def _eigen_rates(cartan, tol, retry):
     """Joint eigenvalue rates of the Cartan action for one generic t.
 
-    cartan holds the 8 Cartan generators (true values) as sparse matrices.
+    cartan holds the 8 Cartan generators (true values) as dense matrices.
     """
     t = _deterministic_t(retry)
     a = sum(t[i] * cartan[i] for i in range(RANK))
-    evals, evecs = np.linalg.eigh(1j * a.toarray())
+    evals, evecs = np.linalg.eigh(1j * a)
     kernel = np.abs(evals) < 1e-8
     if int(kernel.sum()) != RANK:
         raise RootExtractionError(f"kernel multiplicity {int(kernel.sum())} != 8 for t retry {retry}")
@@ -152,7 +152,7 @@ def _snap(rates: np.ndarray, tol: float):
 
 
 def _extract(c: CartanSet, rep: AdjointRep, tol: float):
-    cartan = [rep.mats[f] / 2.0 for f in c.flats]
+    cartan = [rep.dense(f) / 2.0 for f in c.flats]
     for retry in range(8):
         got = _eigen_rates(cartan, tol, retry)
         if got is not None:

@@ -246,6 +246,14 @@ def test_display_blocks_traceless(tensor):
     assert all(int(b.diagonal().sum()) == 0 for b in blocks)
 
 
+def test_dense_adjoint_matches_sparse(rep):
+    # the table-filled dense ad against the CSR list, for every basis element
+    for f in range(248):
+        d = rep.dense(f)
+        assert d.dtype == np.int64
+        assert np.array_equal(d, rep.mats[f].toarray()), alg.flat_label(f)
+
+
 def test_display_blocks_fail_spinor_closure(rep, tensor):
     # fed as a representation, the display normalization closes on the
     # vector and mixed strata but breaks the spinor-spinor one

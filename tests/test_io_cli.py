@@ -187,3 +187,29 @@ def test_cli_generate(tmp_path):
     name, sigma1 = read_bundle(os.path.join(out, "sigma_01.json"))
     assert name == "sigma_1"
     assert sigma1.rows == sigma1.cols == 128
+
+
+def test_queries_load_no_scipy(tmp_path):
+    # the build and the query commands need numpy only: scipy is loaded
+    # by the verify suites and by rank alone
+    commands = [
+        ["roots", "--out", str(tmp_path / "roots.json")],
+        ["region", "--check", "0.05,0.06,0.07,0.08,0.09,0.10,0.11,0.5"],
+        ["generate", "--out-dir", str(tmp_path / "gen")],
+        ["element", "--y", "0.05,0.06,0.07,0.08,0.09,0.1,0.11,0.5",
+         "--x-random", "--z-random", "--seed", "3", "--out", str(tmp_path / "elem")],
+    ]
+    code = (
+        "import json, sys\n"
+        "from e8lie import cli\n"
+        "from e8lie.pipeline import build_pipeline\n"
+        "build_pipeline()\n"
+        f"codes = [cli.main(argv) for argv in {commands!r}]\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout.strip().splitlines()[-1])
+    assert out["codes"] == [0, 0, 0, 0]
+    assert out["scipy"] == []

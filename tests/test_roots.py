@@ -79,7 +79,7 @@ def test_contains_conventional_root_literally(root_system):
 
 
 def test_scale_stable_across_t_vectors(rep, cartan):
-    mats = [rep.mats[f] / 2.0 for f in cartan.flats]
+    mats = [rep.dense(f) / 2.0 for f in cartan.flats]
     scales = []
     for retry in range(3):
         rates, _, _ = rt._eigen_rates(mats, 1e-9, retry)
@@ -91,7 +91,7 @@ def test_scale_stable_across_t_vectors(rep, cartan):
 
 def test_eigen_rates_match_rayleigh_loop(rep, cartan):
     # reference: one np.vdot Rayleigh quotient per eigenvector and generator
-    mats = [rep.mats[f] / 2.0 for f in cartan.flats]
+    mats = [rep.dense(f) / 2.0 for f in cartan.flats]
     rates, vecs, _ = rt._eigen_rates(mats, 1e-9, 0)
     want = [[np.imag(np.vdot(v, m @ v)) for m in mats] for v in vecs.T]
     assert np.abs(rates - np.array(want)).max() < 1e-12
