@@ -574,15 +574,20 @@ def verify_jacobi(
     return reports
 
 
+def _vec_rows(rep: AdjointRep):
+    """Row A is vec(ad_A) (row-major), as one 248 x 61504 CSR matrix."""
+    import scipy.sparse as sp
+    return sp.vstack(rep.mats).reshape(DIM, DIM * DIM).tocsr()
+
+
 def killing_form(rep: AdjointRep) -> HalfIntMatrix:
     """K_AB = trace(ad_A ad_B), exact, as a HalfIntMatrix.
 
     trace(A @ B) = vec(A) . vec(B^T), so K is one sparse product of the
     rows vec(ad_A) with the rows vec(ad_B^T); doubled * doubled = 4x true.
     """
-    import scipy.sparse as sp
-    vecs = sp.vstack([m.reshape(1, DIM * DIM) for m in rep.mats]).tocsr()
-    vecs_t = sp.vstack([m.T.reshape(1, DIM * DIM) for m in rep.mats]).tocsr()
+    vecs = _vec_rows(rep)
+    vecs_t = vecs[:, np.arange(DIM * DIM).reshape(DIM, DIM).T.ravel()]
     quad = (vecs @ vecs_t.T).toarray()
     if (quad & 1).any():
         raise ValueError("killing entry outside (1/2)*Z")
@@ -674,8 +679,7 @@ def adjoint_rank(rep: AdjointRep, p: int = 1_000_003) -> int:
     most the rational one, so a full mod-p rank of the exact 248 x 248 Gram
     matrix F F^T certifies rank 248.
     """
-    import scipy.sparse as sp
-    flat = sp.vstack([m.reshape(1, DIM * DIM) for m in rep.mats]).tocsr()
+    flat = _vec_rows(rep)
     return modp_rank((flat @ flat.T).toarray(), p)
 
 

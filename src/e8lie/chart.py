@@ -9,9 +9,9 @@ rank.
 
 Boundary convention everywhere: lower bounds inclusive, upper exclusive.
 
-The y coordinates follow the recorded root-system labeling, i.e. the a-th
-torus direction is the a-th relabeled Cartan generator, so the region rows
-match the delivered simple roots.
+The y coordinates follow the root-system gauge: the a-th torus direction is
+axis_sign[a] * ad(basis element axis_flats[a]), so the region rows are the
+delivered simple roots.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ class TorusRegion:
 
     @classmethod
     def from_root_system(cls, rs: RootSystem) -> "TorusRegion":
-        simple = np.array([r.true() for r in rs.simples], dtype=np.float64)
-        high = np.array(rs.highest.true(), dtype=np.float64)
-        return cls(simple_rows=simple, highest_row=high, marks=rs.marks)
+        return cls(simple_rows=rs.simples / 2, highest_row=rs.highest / 2, marks=rs.marks)
 
     def all_rows(self) -> np.ndarray:
         return np.vstack([self.simple_rows, self.highest_row[None, :]])
@@ -120,8 +118,7 @@ def region_vertices(region: TorusRegion) -> np.ndarray:
     """
     dual = np.linalg.inv(region.simple_rows)  # columns are the dual basis
     verts = np.zeros((9, 8))
-    for i in range(RANK):
-        verts[i + 1] = PI * dual[:, i] / region.marks[i]
+    verts[1:] = (PI * dual / region.marks).T
     return verts
 
 
@@ -153,43 +150,37 @@ def sample_region(seed_or_rng, region: TorusRegion, n: int | None = None) -> np.
 # ---------------------------------------------------------------------------
 # torus decomposition and exponentials
 
+# q columns 2p, 2p+1 (row p) carry torus plane p; fancy indices, so that
+# _rotate_rows reads copies of the rows it overwrites
+PLANE_COLS = np.arange(240).reshape(120, 2)
+
+
 @dataclass
 class TorusDecomposition:
     """Orthogonal basis splitting the space into 120 rotation planes + Cartan.
 
-    q columns 2p, 2p+1 (row p of plane_cols) carry plane p; the last 8
-    columns span the Cartan.  rates[p, a] is the true rotation rate of plane
-    p under the a-th (relabeled) Cartan generator: row p is the plane's
-    positive root times the scale.
+    Plane p sits in the q columns of row p of PLANE_COLS; column 240 + a is
+    the Cartan basis vector of torus axis a.  rates[p, a] is the true rotation rate of plane p under
+    torus axis a: row p is the plane's positive root times the scale.
     """
 
     q: np.ndarray                        # 248 x 248 orthogonal
-    plane_cols: np.ndarray               # 120 x 2 column pairs
-    fixed_cols: tuple[int, ...]
     rates: np.ndarray                    # 120 x 8 true rates
 
 
 def torus_decomposition(rs: RootSystem, rep: AdjointRep) -> TorusDecomposition:
     q = np.zeros((DIM, DIM))
     q[:, :240] = rs.plane_basis
-    q[list(rs.fixed_flats), range(240, DIM)] = 1.0
+    q[list(rs.axis_flats), range(240, DIM)] = 1.0
     rates = float(rs.scale) * rs.plane_roots.astype(np.float64) / 2.0
-    td = TorusDecomposition(q=q, plane_cols=np.arange(240).reshape(120, 2),
-                            fixed_cols=tuple(range(240, DIM)), rates=rates)
+    td = TorusDecomposition(q=q, rates=rates)
     _validate_decomposition(td, rs, rep)
     return td
 
 
-def _cartan_axes(rs: RootSystem) -> list[tuple[int, int]]:
-    """(flat, sign) per torus axis: the a-th relabeled Cartan generator is
-    sign * ad(basis_flat), after the recorded reversal and parity signs."""
-    srcs = range(RANK - 1, -1, -1) if rs.axis_reversed else range(RANK)
-    return [(rs.fixed_flats[s], rs.axis_signs[s]) for s in srcs]
-
-
 def final_cartan_matrices(rs: RootSystem, rep: AdjointRep) -> list[np.ndarray]:
-    """The relabeled Cartan generators as real matrices (true values)."""
-    return [sign * (rep.dense(flat) / 2.0) for flat, sign in _cartan_axes(rs)]
+    """The torus axis generators as real matrices (true values)."""
+    return [sign * (rep.dense(flat) / 2.0) for flat, sign in zip(rs.axis_flats, rs.axis_sign)]
 
 
 def _validate_decomposition(td: TorusDecomposition, rs: RootSystem, rep: AdjointRep):
@@ -199,7 +190,7 @@ def _validate_decomposition(td: TorusDecomposition, rs: RootSystem, rep: Adjoint
     err_orth = np.abs(q.T @ q - np.eye(DIM)).max()
     if err_orth > 1e-12:
         raise RuntimeError(f"decomposition basis not orthogonal: {err_orth:.2e}")
-    c1, c2 = td.plane_cols.T
+    c1, c2 = PLANE_COLS.T
     qb = np.zeros((DIM, DIM))
     for a, c in enumerate(final_cartan_matrices(rs, rep)):
         qb[:, c2] = q[:, c1] * td.rates[:, a]
@@ -224,8 +215,7 @@ def torus_element(y, td: TorusDecomposition) -> np.ndarray:
     """exp(sum_a y_a C'_a) through plane rotations; exactly orthogonal blocks."""
     theta = td.rates @ np.asarray(y, dtype=np.float64)
     w = td.q.T.copy()
-    i1, i2 = td.plane_cols.T
-    _rotate_rows(w, i1, i2, theta)
+    _rotate_rows(w, *PLANE_COLS.T, theta)
     return td.q @ w
 
 
@@ -308,10 +298,10 @@ class ChartEngine:
         Killing form -60 I, |g ad(v)|_F = sqrt(60) |v|: the singular values
         are those of the derivative of the 248 x 248 entries of the chart.
         """
+        rs = self.root_system
         cols = np.empty((DIM, DIM))  # row j is column j
         r = self._subgroup_sweep(p.z, np.eye(DIM), cols[NV + RANK:])
-        for a, (flat, sign) in enumerate(_cartan_axes(self.root_system)):
-            cols[NV + a] = sign * r[flat]
+        cols[NV:NV + RANK] = rs.axis_sign[:, None] * r[list(rs.axis_flats)]
         self._subgroup_sweep(p.x, self.torus_element(p.y) @ r, cols[:NV])
         return math.sqrt(60.0) * cols.T
 

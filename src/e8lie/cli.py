@@ -148,15 +148,15 @@ def cmd_roots(args) -> int:
         "snap_residual_below": "1e-9",
         "cartan_spinor_indices": list(pipe.cartan.alphas),
         "labeling": {
-            "axis_signs": list(rs.axis_signs),
-            "axis_reversed": rs.axis_reversed,
+            "axis_signs": rs.axis_sign[::-1].tolist(),  # per raw axis
+            "axis_reversed": True,
             "conventional_labeling": rs.conventional_labeling,
             "literal_raw_match": rs.literal_raw_match,
         },
-        "roots_doubled": sorted([list(r.coords) for r in rs.roots]),
-        "positives_doubled": sorted([list(r.coords) for r in rs.positives]),
-        "simples_doubled": [list(r.coords) for r in rs.simples],
-        "highest_doubled": list(rs.highest.coords),
+        "roots_doubled": sorted(rs.roots.tolist()),
+        "positives_doubled": sorted(rs.positives.tolist()),
+        "simples_doubled": rs.simples.tolist(),
+        "highest_doubled": rs.highest.tolist(),
         "cartan_matrix": rs.cartan_matrix.tolist(),
         "marks": list(rs.marks),
     }

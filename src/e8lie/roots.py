@@ -9,24 +9,25 @@ is also one integer key (base 9), so positivity, simple roots, the highest
 root and its marks, the Cartan matrix and root membership tests are array
 steps on that table.
 
-Coordinate labeling: the snapped root set is always the standard E8
-pattern, 112 integer roots with two entries +-1 plus 128 all-half-integer
-roots of a fixed sign parity.  The module records a signed axis relabeling
-(an optional single sign flip to normalize the parity class, followed by a
-coordinate reversal) under which the simple roots delivered downstream
-take the conventional rows
+One gauge: the snapped root set is always the standard E8 pattern, 112
+integer roots with two entries +-1 plus 128 all-half-integer roots of a
+fixed sign parity.  `build_root_system` fixes the delivered gauge once, on
+the raw table: an optional sign flip of the last raw axis normalizes the
+parity class, and the axes are then reversed.  Every result is an int64
+array of doubled rows in that gauge; the simple roots take the
+conventional rows
 
     a1 = 1/2 (1,-1,-1,-1,-1,-1,-1,1),  a2 = e1+e2,  a3 = e2-e1,
     a4 = e3-e2, ..., a8 = e7-e6,  highest = e7+e8,
 
-with marks (2, 3, 4, 6, 5, 4, 3, 2).  The recorded labeling applies to the
-Cartan basis order used by the torus chart.
+with marks (2, 3, 4, 6, 5, 4, 3, 2).  The same step gives the torus-axis
+map: torus axis a is axis_sign[a] * ad(basis element axis_flats[a]).
 
 The 120 torus planes are two arrays: a 248 x 240 orthonormal basis (plane p
-in columns 2p, 2p+1) and a 120 x 8 table of their delivered-gauge roots.
-Each plane is oriented by its positive root, so the root rows are exactly
-the positive roots and, for y inside the Euler range, every plane angle
-<root, y> lies in (0, pi).
+in columns 2p, 2p+1) and a 120 x 8 table of their roots.  Each plane is
+oriented by its positive root, so the root rows are exactly the positive
+roots and, for y inside the Euler range, every plane angle <root, y> lies
+in (0, pi).
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .algebra import DIM, AdjointRep, CartanSet
 
 RANK = 8
 
-# positivity functional weights (applied to the working gauge)
-_POS_WEIGHTS = 8 ** np.arange(RANK - 1, -1, -1, dtype=np.int64)
+# positivity functional weights (delivered gauge: the last axis weighs most)
+_POS_WEIGHTS = 8 ** np.arange(RANK, dtype=np.int64)
 
 # conventional simple rows (doubled coordinates, conventional order)
 CONVENTIONAL_SIMPLES_DOUBLED = (
@@ -62,43 +63,23 @@ class RootExtractionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Root:
-    """An 8-vector of half-integers, stored doubled."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != RANK:
-            raise ValueError("root must have 8 components")
-        if all(c == 0 for c in self.coords):
-            raise ValueError("root cannot be zero")
-        if any(c not in (-2, -1, 0, 1, 2) for c in self.coords):
-            raise ValueError("root components must lie in {0, +-1/2, +-1}")
-
-    def true(self) -> tuple[float, ...]:
-        return tuple(c / 2.0 for c in self.coords)
-
-    def is_integer_type(self) -> bool:
-        return all(c % 2 == 0 for c in self.coords)
-
-
 @dataclass
 class RootSystem:
-    roots: list[Root]                 # 240, final gauge
+    """Root data as int64 arrays of doubled rows, all in the delivered gauge."""
+
+    roots: np.ndarray                 # 240 x 8
     scale: Fraction
-    positives: list[Root]             # 120, final gauge
-    simples: list[Root]               # 8, conventional order when aligned
-    highest: Root
-    cartan_matrix: np.ndarray         # 8 x 8 int
+    positives: np.ndarray             # 120 x 8
+    simples: np.ndarray               # 8 x 8, conventional order when aligned
+    highest: np.ndarray               # 8
+    cartan_matrix: np.ndarray         # 8 x 8
     marks: tuple[int, ...]
-    axis_signs: tuple[int, ...]       # parity-normalizing signs per raw axis
-    axis_reversed: bool               # recorded relabeling: coordinate reversal
+    axis_flats: tuple[int, ...]       # Cartan flat of each torus axis
+    axis_sign: np.ndarray             # 8, sign of each torus axis generator
     conventional_labeling: bool       # delivered rows match the conventional ones
     literal_raw_match: bool           # raw snapped set already contained them
     plane_basis: np.ndarray           # 248 x 240, plane p in columns 2p, 2p+1
-    plane_roots: np.ndarray           # 120 x 8 int64 doubled, final gauge, positive
-    fixed_flats: tuple[int, ...]      # flat indices spanning the Cartan
+    plane_roots: np.ndarray           # 120 x 8, positive
     snap_residual: float
 
 
@@ -170,7 +151,8 @@ def _extract(c: CartanSet, rep: AdjointRep, tol: float):
 
 
 def positivity_value(dbl_coords) -> int:
-    """Deterministic positivity functional on doubled coordinates (no ties)."""
+    """Deterministic positivity functional on doubled delivered-gauge
+    coordinates (no ties on roots)."""
     return int(np.asarray(dbl_coords, dtype=np.int64) @ _POS_WEIGHTS)
 
 
@@ -285,17 +267,16 @@ def build_root_system(rep: AdjointRep, cartan: CartanSet, tol: float = 1e-9) -> 
     conventional = np.array(CONVENTIONAL_SIMPLES_DOUBLED, dtype=np.int64)
     literal_raw_match = bool(np.isin(_key(conventional), _key(dbl)).all())
 
-    # working gauge: parity-normalized; delivered gauge: the axes reversed
-    fixed = dbl * signs
-    positives, simples = choose_positive_and_simple(fixed)
-    delivered_simples = simples[:, ::-1]
-    conventional_labeling = bool(np.isin(_key(delivered_simples), _key(conventional)).all())
+    # the one gauge step: parity signs on the raw axes, then the axes reversed
+    roots = (dbl * signs)[:, ::-1]
+    axis_flats, axis_sign = cartan.flats[::-1], signs[::-1]
+    positives, simples = choose_positive_and_simple(roots)
+    conventional_labeling = bool(np.isin(_key(simples), _key(conventional)).all())
     if conventional_labeling:
-        delivered_simples = conventional
+        simples = conventional
     else:
-        delivered_simples = delivered_simples[np.argsort(delivered_simples @ _POS_WEIGHTS)]
-    delivered_positives = positives[:, ::-1]
-    high, marks = highest_root_and_marks(delivered_positives, delivered_simples)
+        simples = simples[np.argsort(simples @ _POS_WEIGHTS)]
+    high, marks = highest_root_and_marks(positives, simples)
 
     # torus planes: the positive-rate member v of each conjugate eigenvector
     # pair spans (sqrt2 Re v, sqrt2 Im v); where its root is negative, negate
@@ -304,30 +285,25 @@ def build_root_system(rep: AdjointRep, cartan: CartanSet, tol: float = 1e-9) -> 
     pos_cols = np.flatnonzero(lam > 0)
     if pos_cols.size != 120:
         raise RootExtractionError("expected 120 positive-rate eigenplanes")
-    plane_fixed = fixed[pos_cols]
-    orient = np.where(plane_fixed @ _POS_WEIGHTS > 0, 1, -1)
+    orient = np.where(roots[pos_cols] @ _POS_WEIGHTS > 0, 1, -1)
     v = vecs[:, pos_cols]
     plane_basis = np.empty((DIM, 240))
     plane_basis[:, 0::2] = np.sqrt(2.0) * np.real(v)
     plane_basis[:, 1::2] = orient * (np.sqrt(2.0) * np.imag(v))
 
-    def as_roots(rows):
-        return [Root(tuple(r)) for r in rows.tolist()]
-
     return RootSystem(
-        roots=as_roots(fixed[:, ::-1]),
+        roots=roots,
         scale=data["scale"],
-        positives=as_roots(delivered_positives),
-        simples=as_roots(delivered_simples),
-        highest=Root(tuple(high.tolist())),
-        cartan_matrix=cartan_matrix_of(delivered_simples),
+        positives=positives,
+        simples=simples,
+        highest=high,
+        cartan_matrix=cartan_matrix_of(simples),
         marks=marks,
-        axis_signs=tuple(signs.tolist()),
-        axis_reversed=True,
+        axis_flats=axis_flats,
+        axis_sign=axis_sign,
         conventional_labeling=conventional_labeling,
         literal_raw_match=literal_raw_match,
         plane_basis=plane_basis,
-        plane_roots=(orient[:, None] * plane_fixed)[:, ::-1],
-        fixed_flats=cartan.flats,
+        plane_roots=orient[:, None] * roots[pos_cols],
         snap_residual=data["resid"],
     )

@@ -146,8 +146,8 @@ def test_vertices_on_facets(region):
 
 def test_decomposition_shapes(engine):
     td = engine.td
-    assert len(td.plane_cols) == 120
-    assert len(td.fixed_cols) == 8
+    assert td.q.shape == (248, 248)
+    assert td.rates.shape == (120, 8)
     err = np.abs(td.q.T @ td.q - np.eye(248)).max()
     assert err < 1e-12
 
@@ -196,7 +196,7 @@ def test_torus_homomorphism(engine):
 def test_torus_fixes_cartan_and_moves_planes(engine, region, root_system):
     y = sample_region(21, region)
     t = engine.torus_element(y)
-    for flat in root_system.fixed_flats:
+    for flat in root_system.axis_flats:
         v = np.zeros(248)
         v[flat] = 1.0
         assert np.abs(t @ v - v).max() < 1e-12

@@ -3,7 +3,11 @@ staged build as staged_build and layer_probes perform it, and the chart
 methods instrument_layers wraps and run_chart calls, so that a renamed
 function, parameter or attribute fails here first."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +15,8 @@ import numpy as np
 from e8lie import algebra, chart, clifford, halfint, roots
 from e8lie.pipeline import Pipeline
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+REPO = Path(__file__).resolve().parents[1]
+CHILD = REPO / "perfbench" / "child.py"
 
 
 def test_staged_build_interface(pipe):
@@ -40,3 +45,22 @@ def test_chart_interface(engine, region):
     assert isinstance(rank, int) and rank == 248
     assert svals.shape == (248,) and float(svals[247]) > threshold
     assert isinstance(threshold, float)
+
+
+def test_traced_chart_child(tmp_path):
+    # the traced benchmark path: instrument_layers wraps every attribute it
+    # names, so a missing one makes the child exit nonzero before any check
+    out = tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), "chart", "--trace", "--out", str(out), "--seed", "1",
+         "--chart-calls", "5", "--region-samples", "1000", "--report-samples", "20000"],
+        cwd=REPO, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["checks"]["failed"] == 0, result["checks"]["failures"]
+    block = re.search(r"BUILD_SPANS = \((.*?)\)", (REPO / "perfbench" / "run.py").read_text(), re.S)
+    build_spans = set(re.findall(r'"([\w.]+)"', block.group(1)))
+    assert len(build_spans) == 7
+    assert build_spans <= {s["name"] for s in result["spans"]}

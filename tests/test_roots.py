@@ -5,7 +5,6 @@ from e8lie import roots as rt
 from e8lie.roots import (
     CONVENTIONAL_HIGHEST_DOUBLED,
     CONVENTIONAL_SIMPLES_DOUBLED,
-    Root,
     cartan_matrix_of,
     choose_positive_and_simple,
     permutation_equivalent,
@@ -48,9 +47,20 @@ def root_string_rule(roots: list[tuple[int, ...]]) -> bool:
     return True
 
 
+def _rows(arr) -> list[tuple[int, ...]]:
+    return [tuple(r) for r in arr.tolist()]
+
+
+def test_root_arrays(root_system):
+    rs = root_system
+    for arr, shape in ((rs.roots, (240, 8)), (rs.positives, (120, 8)), (rs.simples, (8, 8)),
+                       (rs.highest, (8,)), (rs.plane_roots, (120, 8)), (rs.axis_sign, (8,))):
+        assert arr.dtype == np.int64 and arr.shape == shape
+
+
 def test_root_count_and_negation(root_system):
     assert len(root_system.roots) == 240
-    coords = {r.coords for r in root_system.roots}
+    coords = set(_rows(root_system.roots))
     assert len(coords) == 240
     for c in coords:
         assert tuple(-x for x in c) in coords
@@ -62,18 +72,18 @@ def test_snap_scale_and_residual(root_system):
 
 
 def test_type_split(root_system):
-    ints = [r for r in root_system.roots if r.is_integer_type()]
-    halfs = [r for r in root_system.roots if not r.is_integer_type()]
+    integer_type = (root_system.roots % 2 == 0).all(axis=1)
+    ints, halfs = _rows(root_system.roots[integer_type]), _rows(root_system.roots[~integer_type])
     assert len(ints) == 112 and len(halfs) == 128
     for r in ints:
-        nz = [c for c in r.coords if c]
+        nz = [c for c in r if c]
         assert len(nz) == 2 and all(abs(c) == 2 for c in nz)
     for r in halfs:
-        assert all(abs(c) == 1 for c in r.coords)
+        assert all(abs(c) == 1 for c in r)
 
 
 def test_contains_conventional_root_literally(root_system):
-    coords = {r.coords for r in root_system.roots}
+    coords = set(_rows(root_system.roots))
     assert (2, 2, 0, 0, 0, 0, 0, 0) in coords  # (1,1,0,...,0) doubled
     assert root_system.literal_raw_match
 
@@ -100,29 +110,30 @@ def test_eigen_rates_match_rayleigh_loop(rep, cartan):
 def test_compute_roots_contract(rep, cartan):
     # the raw-gauge snapped roots and their scale
     data = rt._extract(cartan, rep, 1e-9)
-    roots, scale = [Root(tuple(r)) for r in data["dbl"]], data["scale"]
-    assert len({r.coords for r in roots}) == 240
+    roots, scale = data["dbl"], data["scale"]
+    assert roots.dtype == np.int64
+    assert len(set(_rows(roots))) == 240
     assert str(scale) == EXPECTED_SCALE
 
 
 def test_positives_and_simples(root_system):
     assert len(root_system.positives) == 120
     assert len(root_system.simples) == 8
-    simples = [s.coords for s in root_system.simples]
+    simples = _rows(root_system.simples)
     for p in root_system.positives:
-        coeffs = decompose_in_simples(p.coords, simples)
+        coeffs = decompose_in_simples(p, simples)
         assert all(c >= 0 for c in coeffs)
 
 
 def test_positivity_functional_no_ties(root_system):
     for r in root_system.roots:
-        assert positivity_value(r.coords) != 0
+        assert positivity_value(r) != 0
 
 
 def test_delivered_rows_are_conventional(root_system):
     assert root_system.conventional_labeling
-    assert tuple(s.coords for s in root_system.simples) == CONVENTIONAL_SIMPLES_DOUBLED
-    assert root_system.highest.coords == CONVENTIONAL_HIGHEST_DOUBLED
+    assert tuple(_rows(root_system.simples)) == CONVENTIONAL_SIMPLES_DOUBLED
+    assert tuple(root_system.highest.tolist()) == CONVENTIONAL_HIGHEST_DOUBLED
 
 
 def test_cartan_matrix(root_system):
@@ -148,7 +159,7 @@ def test_permutation_equivalent_separates_dynkin_graphs():
 
 
 def test_all_roots_norm_two(root_system):
-    arr = np.array([r.coords for r in root_system.roots], dtype=np.int64)
+    arr = root_system.roots
     norms4 = (arr * arr).sum(axis=1)  # 4x the true squared length
     assert (norms4 == 8).all()
 
@@ -158,19 +169,19 @@ def test_marks_and_coxeter(root_system):
     assert root_system.marks == E8_MARKS  # ordered, under the recorded labeling
     assert sum(root_system.marks) + 1 == 30
     # highest root has two nonzero coordinates of value 1
-    nz = [c for c in root_system.highest.coords if c]
+    nz = [c for c in root_system.highest.tolist() if c]
     assert nz == [2, 2]
 
 
 def test_highest_is_sum_of_marked_simples(root_system):
     acc = np.zeros(8, dtype=np.int64)
     for m, s in zip(root_system.marks, root_system.simples):
-        acc += m * np.array(s.coords, dtype=np.int64)
-    assert tuple(acc) == root_system.highest.coords
+        acc += m * s
+    assert tuple(acc) == tuple(root_system.highest.tolist())
 
 
 def test_weyl_closure_and_strings(root_system):
-    coords = [r.coords for r in root_system.roots]
+    coords = _rows(root_system.roots)
     assert weyl_reflection_closure(coords)
     assert not weyl_reflection_closure(coords[1:])  # the reflection of -r in itself is r
     assert root_string_rule(coords)
@@ -179,7 +190,7 @@ def test_weyl_closure_and_strings(root_system):
 def test_planes_and_fixed(root_system):
     assert len(root_system.plane_roots) == 120
     assert root_system.plane_basis.shape == (248, 240)
-    assert len(root_system.fixed_flats) == 8
+    assert len(root_system.axis_flats) == 8
     plane_roots = {tuple(r) for r in root_system.plane_roots.tolist()}
     # one representative per +- pair
     for r in plane_roots:
@@ -187,19 +198,23 @@ def test_planes_and_fixed(root_system):
 
 
 def test_planes_are_the_positive_roots(root_system, region, engine):
-    assert {tuple(r) for r in root_system.plane_roots.tolist()} == {r.coords for r in root_system.positives}
+    assert set(_rows(root_system.plane_roots)) == set(_rows(root_system.positives))
     # so every plane angle <alpha, y> of an in-region y lies in (0, pi)
     ys = sample_region(2718, region, 1000)
     assert (np.sin(ys @ engine.td.rates.T) > 0).all()
 
 
 def test_root_validation():
-    with pytest.raises(ValueError):
-        Root((0,) * 8)
-    with pytest.raises(ValueError):
-        Root((4, 0, 0, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        Root((1, 1))
+    # a zero row ties the positivity functional
+    table = np.array(CONVENTIONAL_SIMPLES_DOUBLED + ((0,) * 8,), dtype=np.int64)
+    with pytest.raises(rt.RootExtractionError, match="tie"):
+        choose_positive_and_simple(table)
+    # rates 2 and 8 snap exactly at every scale, but one of them always to
+    # a component outside {0, +-1/2, +-1}
+    rates = np.zeros((240, 8))
+    rates[0, 0], rates[1, 1] = 2.0, 8.0
+    with pytest.raises(rt.RootExtractionError, match="no admissible snapping scale"):
+        rt._snap(rates, 1e-9)
 
 
 def test_cartan_matrix_of_rejects_noninteger():
