@@ -24,11 +24,13 @@ nonzero doubled coefficient v of basis_c in [basis_a, basis_b], a < b,
 sorted by (a, b, c).  The adjoint matrices, the display blocks and the
 Jacobi tables are read off it by array operations.
 
-Every pair suite (the defining relations, the Jacobi pair strata and both
-so(16) spinor checks) runs through one exact sparse engine, _pair_failures,
-whose right-hand sides come from the stored bracket table or, for the
-spinor checks, from the so(16) rule; reports are ordered by flat index.
-Only this engine, the QQQ scan and the exact certificates load scipy.sparse.
+The so(16) rule exists once, as the tables of _so16_structure, which both
+the bracket table and the two so(16) spinor checks read; those checks
+compare the permutation arrays of the generators and need numpy only.  The
+defining relations and the Jacobi pair strata run through one exact sparse
+engine, _pair_failures, against the stored bracket table; reports are
+ordered by flat index.  Only this engine, the QQQ scan, the exact
+certificates and the display blocks load scipy.sparse.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import numpy as np
 from .clifford import (
     SpinorGenerators,
     anticommutation_failures,
+    perm_compose,
     perm_decode,
     perm_transpose,
     quarter_commutators,
@@ -116,28 +119,22 @@ class AlgebraElement:
 
 
 def _so16_structure():
-    """The so(16) rule as 120 doubled structure matrices, stacked, in the
-    form (vals, (rows, cols)), with no (row, col) repeated.
+    """The so(16) rule as two [120, 120] int64 tables (target, coeff):
+    [J_a, J_b] = (coeff[a, b] / 2) J_target[a, b], and coeff 0 means the
+    pair commutes.
 
-    Entry (a*120 + c, b) is twice the coefficient of J_c in
-    [J_a, J_b] = d_jk J_il - d_jl J_ik - d_ik J_jl + d_il J_jk, where
-    J_a = J_ij, J_b = J_kl and J_qp = -J_pq.
+    [J_ij, J_kl] = d_jk J_il - d_jl J_ik - d_ik J_jl + d_il J_jk with
+    J_qp = -J_pq has at most one term: a nonzero bracket shares exactly
+    one index.
     """
     ij = np.array(VECTOR_PAIRS)
     flat = np.zeros((N_VECTOR + 1, N_VECTOR + 1), dtype=np.int64)
     flat[ij[:, 0], ij[:, 1]] = flat[ij[:, 1], ij[:, 0]] = np.arange(NV)
     (i, j), (k, l) = ij.T[:, :, None], ij.T[:, None, :]
-    a, b = np.indices((NV, NV))
-    rows, cols, vals = [], [], []
-    for hit, p, q, v in ((j == k, i, l, 2), (j == l, i, k, -2),
-                         (i == k, j, l, -2), (i == l, j, k, 2)):
-        p, q = np.broadcast_arrays(p, q)
-        hit = hit & (p != q)
-        p, q = p[hit], q[hit]
-        rows.append(a[hit] * NV + flat[p, q])
-        cols.append(b[hit])
-        vals.append(np.where(p < q, v, -v))
-    return np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))
+    hits = (j == k, j == l, i == k, i == l)
+    p, q = np.select(hits, (i, i, j, j)), np.select(hits, (l, k, l, k))
+    v = np.select(hits, (2, -2, -2, 2))
+    return flat[p, q], np.where(p == q, 0, np.where(p < q, v, -v))
 
 
 class StructureTensor:
@@ -165,9 +162,8 @@ class StructureTensor:
         pi, sg = d.perm, d.sign
 
         # vector-vector from the so(16) rule
-        vv, (rows, vb) = _so16_structure()
-        va, vc = np.divmod(rows, NV)
-        up = va < vb
+        target, coeff = _so16_structure()
+        va, vb = np.nonzero(np.triu(coeff))
 
         # vector-spinor: coeff of Q_beta in [J_k, Q_alpha] is (Delta_k)_{beta,alpha},
         # the entry (alpha, beta) of the transpose
@@ -180,10 +176,10 @@ class StructureTensor:
         beta = pi.ravel()
         qq = alpha < beta
 
-        a = np.concatenate([va[up], k, NV + alpha[qq]])
-        b = np.concatenate([vb[up], NV + alpha, NV + beta[qq]])
-        c = np.concatenate([vc[up], NV + tp.ravel(), k[qq]])
-        v = np.concatenate([vv[up], ts.ravel(), -sg.ravel()[qq]])
+        a = np.concatenate([va, k, NV + alpha[qq]])
+        b = np.concatenate([vb, NV + alpha, NV + beta[qq]])
+        c = np.concatenate([target[va, vb], NV + tp.ravel(), k[qq]])
+        v = np.concatenate([coeff[va, vb], ts.ravel(), -sg.ravel()[qq]])
         order = np.lexsort((c, b, a))
         return cls(a[order], b[order], c[order], v[order], pi, sg)
 
@@ -419,18 +415,25 @@ def verify_defining_relations(
 def _verify_eq1_family(pi: np.ndarray, sg: np.ndarray, name: str) -> SuiteReport:
     """Exhaustive so(16) commutation check for a 128x128 generator family.
 
-    All 14400 ordered pairs of the doubled generators, rebuilt as sparse
-    signed permutations from (pi, sg), against the so(16) rule.
+    All 14400 ordered pairs of the doubled generators P_k = (pi[k], sg[k])
+    against the so(16) rule, which doubled reads
+    P_a P_b - P_b P_a = coeff[a, b] P_target[a, b].  Each of the three
+    terms has one entry per row, so a row of their difference is zero
+    exactly when its totals at the three columns of those entries are.
+    One row a is checked at a time, against every b at once.
     """
-    import scipy.sparse as sp
-    mats = [sp.csr_matrix((sg[k], (np.arange(NS), pi[k])), shape=(NS, NS)) for k in range(NV)]
-    (report,) = _pair_suites(
-        mats,
-        sp.csr_matrix(_so16_structure(), shape=(NV * NV, NV)),
-        [(name, _RELATION_STRATA["vector-vector"])],
-        lambda a, b: "[Delta(%d,%d), Delta(%d,%d)]" % (*VECTOR_PAIRS[a], *VECTOR_PAIRS[b]),
-    )
-    return report
+    t0 = time.time()
+    target, coeff = _so16_structure()
+    fail = np.zeros((NV, NV), dtype=bool)
+    for a in range(NV):
+        yp, ys = perm_compose((pi, sg), (pi[a], sg[a]))
+        terms = (perm_compose((pi[a], sg[a]), (pi, sg)), (yp, -ys),
+                 (pi[target[a]], -coeff[a, :, None] * sg[target[a]]))
+        fail[a] = np.any([sum(s * (p == col) for p, s in terms) for col, _ in terms], axis=(0, 2))
+    bad = np.argwhere(fail)
+    first = ("[Delta(%d,%d), Delta(%d,%d)]" % (*VECTOR_PAIRS[bad[0, 0]], *VECTOR_PAIRS[bad[0, 1]])
+             if len(bad) else None)
+    return SuiteReport(name, NV * NV, len(bad), first, time.time() - t0)
 
 
 def verify_so16_on_spinors(t: StructureTensor) -> SuiteReport:

@@ -9,8 +9,11 @@ failure, 2 on usage errors.
 Every run echoes its configuration as one JSON line on stderr.  The seed
 defaults to 0.  --threads is echoed in that line; it does not yet cap BLAS
 threading (BLAS is loaded before the option is read).  The build and the
-queries need numpy only; scipy is loaded only by the verify suites
-(scipy.sparse) and by rank (scipy.linalg.svdvals).
+queries need numpy only.  verify builds only what its suites read.  The
+gamma blocks and both so(16) spinor families are checked on their
+permutation arrays, so `verify --suite clifford` needs numpy only; the
+other suites also build the bracket table and run the exact sparse engine,
+which loads scipy.sparse.  rank loads scipy.linalg.svdvals.
 """
 
 from __future__ import annotations
@@ -89,35 +92,27 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import algebra as alg
-    from .pipeline import build_pipeline
+    from .clifford import build_gamma_system, spinor_generators
 
-    pipe = build_pipeline()
+    gammas = build_gamma_system()
     suites = []
     want = args.suite
 
     if want in ("clifford", "all"):
-        suites += alg.verify_clifford_pairs(pipe.gammas)
-        suites.append(alg.verify_chirality_consistency(pipe.gammas))
+        suites += alg.verify_clifford_pairs(gammas)
+        suites.append(alg.verify_chirality_consistency(gammas))
+    if want != "clifford":
+        tensor = alg.StructureTensor.build(spinor_generators(gammas))
+        rep = alg.AdjointRep.build(tensor)
     if want in ("so16", "all"):
-        suites.append(alg.verify_so16_on_spinors(pipe.tensor))
-    relation_strata = {"so16": ["vector-vector"], "mixed": ["vector-spinor"],
-                       "spinor": ["spinor-spinor"]}
-    wanted_strata = []
-    for key, names in relation_strata.items():
-        if want in (key, "all"):
-            wanted_strata.extend(names)
-    if wanted_strata:
-        suites += alg.verify_defining_relations(
-            pipe.rep, pipe.tensor, strata=tuple(wanted_strata)
-        )
+        suites.append(alg.verify_so16_on_spinors(tensor))
+    strata = tuple(name for key, name in (("so16", "vector-vector"), ("mixed", "vector-spinor"),
+                                          ("spinor", "spinor-spinor")) if want in (key, "all"))
+    if strata:
+        suites += alg.verify_defining_relations(rep, tensor, strata=strata)
     if want in ("jacobi", "all"):
-        suites += alg.verify_jacobi(
-            pipe.rep,
-            pipe.tensor,
-            samples=args.samples,
-            seed=args.seed,
-            full_spinor=args.jacobi_full,
-        )
+        suites += alg.verify_jacobi(rep, tensor, samples=args.samples, seed=args.seed,
+                                    full_spinor=args.jacobi_full)
 
     passed = all(s.passed for s in suites)
     payload = {

@@ -150,12 +150,6 @@ def _extract(c: CartanSet, rep: AdjointRep, tol: float):
     return {"dbl": dbl, "scale": scale, "vecs": vecs, "lam": lam, "resid": resid}
 
 
-def positivity_value(dbl_coords) -> int:
-    """Deterministic positivity functional on doubled delivered-gauge
-    coordinates (no ties on roots)."""
-    return int(np.asarray(dbl_coords, dtype=np.int64) @ _POS_WEIGHTS)
-
-
 def choose_positive_and_simple(roots):
     """Positives by the weight functional; simples are the positives that are
     no difference of two positives.  Both are int64 row arrays in input order."""

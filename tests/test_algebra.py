@@ -359,17 +359,67 @@ def test_jacobi_pairs_fault_injection_corrupted_entry(rep, tensor):
     assert jj.first_counterexample == "pair (J(1,2), J(1,3))"
 
 
-def test_so16_fault_injection_names_first_bad_pair(tensor):
-    sg = tensor.sg.copy()
-    sg[vector_flat(3, 7), 5] *= -1  # one sign of Delta(3,7)
+def _so16_fault(tensor, fault):
+    """(pi, sg) of the doubled Delta with one fault injected, and the first
+    pair that fault breaks."""
+    pi, sg = tensor.pi.copy(), tensor.sg.copy()
+    k = vector_flat(3, 7)
+    if fault == "sign-flip":
+        sg[k, 5] *= -1  # one sign of Delta(3,7)
+    elif fault == "perm-swap":
+        pi[k, [5, 6]] = pi[k, [6, 5]]
+    elif fault == "zero-sign":
+        sg[k, 5] = 0
+    elif fault == "sign-2":
+        sg[k, 5] = 2
+    elif fault == "duplicated-column":
+        pi[k, 6] = pi[k, 5]
+    elif fault == "last-pair-flip":
+        sg[vector_flat(15, 16), 5] *= -1  # one sign of the last pair
+        return pi, sg, "[Delta(1,2), Delta(15,16)]"
+    elif fault == "copied-generator":
+        # Delta(1,3) := Delta(1,2), which commutes with Delta(1,2) where the
+        # rule asks for Delta(2,3): a row fails only in the right-hand side
+        pi[vector_flat(1, 3)], sg[vector_flat(1, 3)] = pi[0], sg[0]
+        return pi, sg, "[Delta(1,2), Delta(1,3)]"
+    else:
+        # Delta(3,4) keeps row 0 alone, moved to column 1, and Delta(1,2)
+        # loses row 1: Delta(3,4) Delta(1,2) vanishes while Delta(1,2)
+        # Delta(3,4) keeps one entry, in a column where the other product
+        # and the right-hand side have none
+        b = vector_flat(3, 4)
+        sg[b, 1:] = 0
+        pi[b, 0] = 1
+        sg[0, 1] = 0
+        return pi, sg, "[Delta(1,2), Delta(1,3)]"
+    return pi, sg, "[Delta(1,2), Delta(3,7)]"
+
+
+def _sparse_so16_report(pi, sg):
+    """The family check through the sparse pair engine, as CSR generators."""
+    target, coeff = alg._so16_structure()
+    a, b = np.nonzero(coeff)
+    structure = sp.csr_matrix((coeff[a, b], (a * 120 + target[a, b], b)), shape=(120 * 120, 120))
+    mats = [sp.csr_matrix((sg[k], (np.arange(128), pi[k])), shape=(128, 128)) for k in range(120)]
+    (report,) = alg._pair_suites(
+        mats, structure, [("so16-spinor-rep", alg._RELATION_STRATA["vector-vector"])],
+        lambda a, b: "[Delta(%d,%d), Delta(%d,%d)]" % (*alg.VECTOR_PAIRS[a], *alg.VECTOR_PAIRS[b]),
+    )
+    return report
+
+
+@pytest.mark.parametrize("fault", ["sign-flip", "perm-swap", "zero-sign", "sign-2",
+                                   "duplicated-column", "last-pair-flip", "copied-generator", "lone-product"])
+def test_so16_fault_injection_names_first_bad_pair(tensor, fault):
+    pi, sg, expected = _so16_fault(tensor, fault)
     report = alg.verify_so16_on_spinors(
-        StructureTensor(tensor.a, tensor.b, tensor.c, tensor.v, tensor.pi, sg)
+        StructureTensor(tensor.a, tensor.b, tensor.c, tensor.v, pi, sg)
     )
     assert not report.passed
     # dense oracle on the doubled generators, in flat-index pair order
     dense = np.zeros((120, 128, 128), dtype=np.int64)
     for c in range(120):
-        dense[c, np.arange(128), tensor.pi[c]] = sg[c]
+        dense[c, np.arange(128), pi[c]] = sg[c]
     first = None
     for a, b in ((a, b) for a in range(120) for b in range(120)):
         cs, vs = tensor.bracket_basis(a, b)
@@ -377,7 +427,8 @@ def test_so16_fault_injection_names_first_bad_pair(tensor):
         if not np.array_equal(dense[a] @ dense[b] - dense[b] @ dense[a], rhs):
             first = "[Delta(%d,%d), Delta(%d,%d)]" % (*alg.VECTOR_PAIRS[a], *alg.VECTOR_PAIRS[b])
             break
-    assert report.first_counterexample == first == "[Delta(1,2), Delta(3,7)]"
+    assert report.first_counterexample == first == expected
+    assert report.to_dict() == _sparse_so16_report(pi, sg).to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,9 @@ def test_cli_artifacts_match_golden_digests(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["region", "--check", "0.05,0.06,0.07,0.08,0.09,0.10,0.11,0.5"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digests["region_check"]
+    out = tmp_path / "verify-spinor.json"
+    assert cli.main(["verify", "--suite", "spinor", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests["verify_spinor"]
 
 
 def test_cli_verify_clifford():
@@ -164,6 +167,23 @@ def test_cli_verify_clifford():
     assert out["passed"] is True
     names = {s["name"] for s in out["suites"]}
     assert "clifford-anticommutation" in names
+
+
+def test_verify_clifford_stays_small():
+    # the clifford suites read the gamma blocks alone: no bracket table, no
+    # sparse engine and no root system
+    code = (
+        "import json, sys\n"
+        "from e8lie import cli\n"
+        "code = cli.main(['verify', '--suite', 'clifford'])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy')\n"
+        "                or m in ('e8lie.roots', 'e8lie.chart'))\n"
+        "print(json.dumps({'code': code, 'loaded': loaded}))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout.strip().splitlines()[-1])
+    assert out == {"code": 0, "loaded": []}
 
 
 def test_cli_element_bundle(tmp_path):
@@ -191,7 +211,7 @@ def test_cli_generate(tmp_path):
 
 def test_queries_load_no_scipy(tmp_path):
     # the build and the query commands need numpy only: scipy is loaded
-    # by the verify suites and by rank alone
+    # by the verify suites past clifford and by rank alone
     commands = [
         ["roots", "--out", str(tmp_path / "roots.json")],
         ["region", "--check", "0.05,0.06,0.07,0.08,0.09,0.10,0.11,0.5"],

@@ -3,6 +3,7 @@ staged build as staged_build and layer_probes perform it, and the chart
 methods instrument_layers wraps and run_chart calls, so that a renamed
 function, parameter or attribute fails here first."""
 
+import hashlib
 import json
 import os
 import re
@@ -64,3 +65,20 @@ def test_traced_chart_child(tmp_path):
     build_spans = set(re.findall(r'"([\w.]+)"', block.group(1)))
     assert len(build_spans) == 7
     assert build_spans <= {s["name"] for s in result["spans"]}
+
+
+def test_traced_cli_child(tmp_path):
+    # the process kind a traced cli_cold run spawns for each command: its
+    # checks pass and the payload matches the pinned digest
+    out, payload = tmp_path / "r.json", tmp_path / "v.json"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), "cli", "--trace", "--out", str(out),
+         "--", "verify", "--suite", "clifford", "--out", str(payload)],
+        cwd=REPO, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["checks"]["failed"] == 0, result["checks"]["failures"]
+    golden = json.loads((REPO / "perfbench" / "golden.json").read_text())["digests"]
+    assert hashlib.sha256(payload.read_bytes()).hexdigest() == golden["verify_clifford"]
