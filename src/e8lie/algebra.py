@@ -28,9 +28,11 @@ The so(16) rule exists once, as the tables of _so16_structure, which both
 the bracket table and the two so(16) spinor checks read; those checks
 compare the permutation arrays of the generators and need numpy only.  The
 defining relations and the Jacobi pair strata run through one exact sparse
-engine, _pair_failures, against the stored bracket table; reports are
-ordered by flat index.  Only this engine, the QQQ scan, the exact
-certificates and the display blocks load scipy.sparse.
+engine, _pair_failures, against the stored bracket table: each row a is
+one sparse step with a row operator, the right-hand side folded in, over
+the window of b its strata select; reports are ordered by flat index.
+Only this engine, the QQQ scan, the exact certificates and the display
+blocks load scipy.sparse.
 """
 
 from __future__ import annotations
@@ -80,42 +82,6 @@ def flat_label(f: int) -> str:
         i, j = VECTOR_PAIRS[f]
         return f"J({i},{j})"
     return f"Q({f - NV + 1})"
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Coefficient vector over the 248-element basis, stored doubled."""
-
-    coeffs: np.ndarray  # int64, doubled
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.int64)
-        if c.shape != (DIM,):
-            raise ValueError("algebra element must have 248 coefficients")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zero(cls) -> "AlgebraElement":
-        return cls(np.zeros(DIM, dtype=np.int64))
-
-    @classmethod
-    def basis(cls, flat: int) -> "AlgebraElement":
-        c = np.zeros(DIM, dtype=np.int64)
-        c[flat] = 2
-        return cls(c)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return np.array_equal(self.coeffs, other.coeffs)
-
-    def __neg__(self):
-        return AlgebraElement(-self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
 
 
 def _so16_structure():
@@ -189,25 +155,6 @@ class StructureTensor:
         lo, hi = np.searchsorted(self._pairs, [key, key + 1])
         cs, vs = self.c[lo:hi], self.v[lo:hi]
         return (cs, vs) if a < b else (cs, -vs)
-
-
-def abstract_bracket(x: AlgebraElement, y: AlgebraElement, t: StructureTensor) -> AlgebraElement:
-    """Exact bilinear bracket of coefficient vectors.
-
-    Raises if the result leaves the half-integer lattice (doubled integer
-    accumulation must be divisible by 4), mirroring the doubled-storage
-    closure rule of the matrix kernel, and raises OverflowError where the
-    int64 accumulation might not be exact.
-    """
-    xc, yc = x.coeffs, y.coeffs
-    terms = int(np.bincount(t.c).max())  # most entries with one target
-    if 2 * int(np.abs(xc).max()) * int(np.abs(yc).max()) * int(np.abs(t.v).max()) * terms >= 2**63:
-        raise OverflowError("bracket coefficients too large for exact int64 accumulation")
-    acc = np.zeros(DIM, dtype=np.int64)
-    np.add.at(acc, t.c, (xc[t.a] * yc[t.b] - xc[t.b] * yc[t.a]) * t.v)
-    if (acc & 3).any():
-        raise ValueError("bracket result has coefficients outside (1/2)*Z")
-    return AlgebraElement(acc >> 2)
 
 
 def _ad_stack(t: StructureTensor):
@@ -334,28 +281,34 @@ class SuiteReport:
         return out
 
 
-def _pair_failures(mats, structure, rows) -> np.ndarray:
-    """Exact check of [M_a, M_b] = sum_c T_a[c, b] M_c for a in rows, all b.
+def _pair_failures(mats, structure, rows, lo, hi) -> np.ndarray:
+    """Exact check of [M_a, M_b] = sum_c T_a[c, b] M_c for a = rows[i] and
+    every b in its window lo[i] <= b < hi[i].
 
     mats are n doubled d x d CSR matrices and rows a*n .. a*n + n - 1 of
     structure are the doubled n x n matrix T_a, so both sides are 4x true.
-    Each row a is one sparse step over every b at once: with X the
-    vertical stack of the M_b, kron(I, M_a) @ X - X @ M_a stacks the
-    commutators, and with V the rows vec(M_c), T_a^T @ V stacks the
-    right-hand sides.  Returns mask[i, b], True where the pair (rows[i], b)
-    fails.
+    Each row a is one sparse step over its window: with X the vertical
+    stack of the M_b, the block of pair b is [M_a, M_b] in
+    kron(I_n[lo:hi], M_a) @ X - X[lo*d:hi*d] @ M_a and the right-hand side
+    in kron(T_a[:, lo:hi]^T, I_d) @ X.  So with the row operator
+    L = kron(I_n[lo:hi], M_a) - kron(T_a[:, lo:hi]^T, I_d), the blocks of
+    L @ X - X[lo*d:hi*d] @ M_a are zero exactly on the passing pairs.
+    Returns mask[i, b], True where the pair (rows[i], b) fails; pairs
+    outside the window read False.
     """
     import scipy.sparse as sp
     n, d = len(mats), mats[0].shape[0]
     x = sp.vstack(mats, format="csr")
-    v = x.reshape(n, d * d).tocsr()
-    eye = sp.identity(n, dtype=np.int64, format="csr")
+    eye_n = sp.identity(n, dtype=np.int64, format="csr")
+    eye_d = sp.identity(d, dtype=np.int64, format="csr")
     mask = np.zeros((len(rows), n), dtype=bool)
-    for i, a in enumerate(rows):
+    for i, (a, b0, b1) in enumerate(zip(rows, lo, hi)):
         m = mats[a]
-        rhs = (structure[a * n:(a + 1) * n].T @ v).reshape(x.shape)
-        diff = (sp.kron(eye, m, format="csr") @ x - x @ m - rhs).tocoo()
-        mask[i, diff.row[diff.data != 0] // d] = True
+        op = (sp.kron(eye_n[b0:b1], m, format="csr")
+              - sp.kron(structure[a * n:(a + 1) * n, b0:b1].T, eye_d, format="csr"))
+        diff = op @ x - x[b0 * d:b1 * d] @ m
+        diff.eliminate_zeros()
+        mask[i, b0:b1] = np.diff(diff.indptr).reshape(b1 - b0, d).any(axis=1)
     return mask
 
 
@@ -363,20 +316,23 @@ def _pair_suites(mats, structure, strata, label) -> list[SuiteReport]:
     """One SuiteReport per (name, select) stratum from one engine pass.
 
     select(a, b) marks the pairs of a stratum on broadcast index grids;
-    the engine runs only the rows some stratum needs.  Failures are read
-    off the mask in flat-index order, so the first counterexample is the
-    first failing pair (a, b) with a, then b, increasing; strata from one
-    pass share its elapsed time.
+    the engine runs only the rows some stratum needs, each over the window
+    from the first to the last b that some stratum selects in that row.
+    Pairs inside a window that no stratum selects are computed and masked.
+    Failures are read off the mask in flat-index order, so the first
+    counterexample is the first failing pair (a, b) with a, then b,
+    increasing; strata from one pass share its elapsed time.
     """
     t0 = time.time()
     n = len(mats)
     a, b = np.arange(n)[:, None], np.arange(n)[None, :]
     selects = [(name, select(a, b)) for name, select in strata]
-    need = np.zeros(n, dtype=bool)
+    need = np.zeros((n, n), dtype=bool)
     for _, sel in selects:
-        need |= sel.any(axis=1)
-    rows = np.flatnonzero(need)
-    mask = _pair_failures(mats, structure, rows)
+        need |= sel
+    rows = np.flatnonzero(need.any(axis=1))
+    lo, hi = need[rows].argmax(axis=1), n - need[rows, ::-1].argmax(axis=1)
+    mask = _pair_failures(mats, structure, rows, lo, hi)
     elapsed = time.time() - t0
     reports = []
     for name, sel in selects:

@@ -185,17 +185,22 @@ def final_cartan_matrices(rs: RootSystem, rep: AdjointRep) -> list[np.ndarray]:
 
 def _validate_decomposition(td: TorusDecomposition, rs: RootSystem, rep: AdjointRep):
     # q orthogonal and C q = q B (so q^T C q = B) for each axis C, where
-    # column c2 of q B is rate * q[:, c1] and column c1 is -rate * q[:, c2]
+    # column c2 of q B is rate * q[:, c1] and column c1 is -rate * q[:, c2];
+    # C q is one gather of the rows of q that the 240 entries of C read,
+    # added into the rows they write
     q = td.q
     err_orth = np.abs(q.T @ q - np.eye(DIM)).max()
     if err_orth > 1e-12:
         raise RuntimeError(f"decomposition basis not orthogonal: {err_orth:.2e}")
     c1, c2 = PLANE_COLS.T
     qb = np.zeros((DIM, DIM))
-    for a, c in enumerate(final_cartan_matrices(rs, rep)):
+    for a, (flat, sign) in enumerate(zip(rs.axis_flats, rs.axis_sign)):
+        rows, cols, vals = rep.entries(flat)
+        terms = (sign * vals / 2.0)[:, None] * q[cols]
+        cq = np.bincount((rows[:, None] * DIM + np.arange(DIM)).ravel(), terms.ravel(), DIM * DIM)
         qb[:, c2] = q[:, c1] * td.rates[:, a]
         qb[:, c1] = -q[:, c2] * td.rates[:, a]
-        err = np.abs(c @ q - qb).max()
+        err = np.abs(cq.reshape(DIM, DIM) - qb).max()
         if err > 1e-10:
             raise RuntimeError(f"block validation failed for axis {a}: {err:.2e}")
 

@@ -1,15 +1,16 @@
 from types import SimpleNamespace
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from e8lie import algebra as alg
 from e8lie.algebra import (
+    DIM,
     AdjointRep,
-    AlgebraElement,
     StructureTensor,
-    abstract_bracket,
     adjoint_rank,
     build_display_blocks,
     centralizer_dimension,
@@ -112,6 +113,57 @@ def test_bracket_table_is_sorted_upper_and_nonzero(tensor):
 
 # ---------------------------------------------------------------------------
 # abstract bracket
+
+@dataclass(frozen=True)
+class AlgebraElement:
+    """Coefficient vector over the 248-element basis, stored doubled."""
+
+    coeffs: np.ndarray  # int64, doubled
+
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=np.int64)
+        if c.shape != (DIM,):
+            raise ValueError("algebra element must have 248 coefficients")
+        c = c.copy()
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def basis(cls, flat: int) -> "AlgebraElement":
+        c = np.zeros(DIM, dtype=np.int64)
+        c[flat] = 2
+        return cls(c)
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return np.array_equal(self.coeffs, other.coeffs)
+
+    def __neg__(self):
+        return AlgebraElement(-self.coeffs)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
+
+
+def abstract_bracket(x: AlgebraElement, y: AlgebraElement, t: StructureTensor) -> AlgebraElement:
+    """Exact bilinear bracket of coefficient vectors.
+
+    Raises if the result leaves the half-integer lattice (doubled integer
+    accumulation must be divisible by 4), mirroring the doubled-storage
+    closure rule of the matrix kernel, and raises OverflowError where the
+    int64 accumulation might not be exact.
+    """
+    xc, yc = x.coeffs, y.coeffs
+    terms = int(np.bincount(t.c).max())  # most entries with one target
+    if 2 * int(np.abs(xc).max()) * int(np.abs(yc).max()) * int(np.abs(t.v).max()) * terms >= 2**63:
+        raise OverflowError("bracket coefficients too large for exact int64 accumulation")
+    acc = np.zeros(DIM, dtype=np.int64)
+    np.add.at(acc, t.c, (xc[t.a] * yc[t.b] - xc[t.b] * yc[t.a]) * t.v)
+    if (acc & 3).any():
+        raise ValueError("bracket result has coefficients outside (1/2)*Z")
+    return AlgebraElement(acc >> 2)
+
 
 def test_abstract_bracket_self_is_zero(tensor):
     rng = np.random.default_rng(6)
@@ -297,6 +349,62 @@ def test_relations_fault_injection_flipped_vector_spinor_coeff(rep, tensor):
     assert vv.passed and ss.passed
     assert vs.failures == 1
     assert vs.first_counterexample == "[J(2,5), Q(17)]"
+
+
+def _full_width_pair_failures(mats, structure, rows) -> np.ndarray:
+    """The pair engine without windows or folding, as the oracle of the
+    windowed one: each row a checks every b, with kron(I, M_a) @ X - X @ M_a
+    stacking the commutators (X the vertical stack of the M_b) and
+    T_a^T @ V, V the rows vec(M_c), stacking the right-hand sides."""
+    n, d = len(mats), mats[0].shape[0]
+    x = sp.vstack(mats, format="csr")
+    v = x.reshape(n, d * d).tocsr()
+    eye = sp.identity(n, dtype=np.int64, format="csr")
+    mask = np.zeros((len(rows), n), dtype=bool)
+    for i, a in enumerate(rows):
+        m = mats[a]
+        rhs = (structure[a * n:(a + 1) * n].T @ v).reshape(x.shape)
+        diff = (sp.kron(eye, m, format="csr") @ x - x @ m - rhs).tocoo()
+        mask[i, diff.row[diff.data != 0] // d] = True
+    return mask
+
+
+@pytest.mark.parametrize("a, b", [
+    (vector_flat(1, 2), spinor_flat(1)),      # vector-spinor, first b of the window
+    (vector_flat(1, 2), spinor_flat(128)),    # vector-spinor, last b of the window
+    (vector_flat(1, 15), vector_flat(15, 16)),  # vector-vector, last b of the window
+    (spinor_flat(1), spinor_flat(2)),         # spinor-spinor, first b > a
+    (spinor_flat(2), spinor_flat(128)),       # spinor-spinor, last b
+    (vector_flat(15, 16), spinor_flat(1)),    # Jacobi JQ*, first b of the last vector row
+], ids=alg.flat_label)
+def test_windowed_engine_matches_full_width_oracle(rep, tensor, monkeypatch, a, b):
+    # one stored coefficient of [basis_a, basis_b] flips sign, at a window
+    # edge of the calls the certify benchmark makes: every report equals
+    # the one built through the full-width engine
+    v = tensor.v.copy()
+    (pos,) = np.flatnonzero((tensor.a == a) & (tensor.b == b))[:1]
+    v[pos] *= -1
+    t = _with_coeffs(tensor, v)
+
+    def reports():
+        out = [r for s in alg.ALL_RELATION_STRATA for r in verify_defining_relations(rep, t, strata=(s,))]
+        out += verify_jacobi(rep, t, samples=100, seed=0, full_spinor=True)
+        return [r.to_dict() for r in out]
+
+    got = reports()
+    cache = {}
+
+    def oracle(mats, structure, rows, lo, hi):
+        # every call reads rep.mats and the table of t, so calls that ask
+        # for the same rows share one oracle pass
+        key = tuple(rows)
+        if key not in cache:
+            cache[key] = _full_width_pair_failures(mats, structure, rows)
+        return cache[key]
+
+    monkeypatch.setattr(alg, "_pair_failures", oracle)
+    assert got == reports()
+    assert not all(d["passed"] for d in got)
 
 
 def test_jacobi_passes(rep, tensor):

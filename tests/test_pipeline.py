@@ -67,6 +67,23 @@ def test_traced_chart_child(tmp_path):
     assert build_spans <= {s["name"] for s in result["spans"]}
 
 
+def test_traced_certify_child(tmp_path):
+    # the traced certify process: every suite dict equals its golden dict,
+    # and each relation stratum is called, and recorded, on its own
+    out = tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), "certify", "--trace", "--out", str(out),
+         "--golden", str(REPO / "perfbench" / "golden.json"), "--seed", "1", "--samples", "1000"],
+        cwd=REPO, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["checks"]["failed"] == 0, result["checks"]["failures"]
+    spans = {s["name"] for s in result["spans"]}
+    assert {f"algebra.relations.{s}" for s in algebra.ALL_RELATION_STRATA} <= spans
+
+
 def test_traced_cli_child(tmp_path):
     # the process kind a traced cli_cold run spawns for each command: its
     # checks pass and the payload matches the pinned digest
