@@ -31,13 +31,16 @@ defining relations and the Jacobi pair strata run through one exact sparse
 engine, _pair_failures, against the stored bracket table: each row a is
 one sparse step with a row operator, the right-hand side folded in, over
 the window of b its strata select; reports are ordered by flat index.
-Only this engine, the QQQ scan, the exact certificates and the display
-blocks load scipy.sparse.
+The rep keeps one pair table per bracket table, which both suites share,
+so each pair runs at most once, and only with b > a: b < a is read off by
+antisymmetry.  Only this engine, the QQQ scan, the exact certificates and
+the display blocks load scipy.sparse.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -171,13 +174,16 @@ class AdjointRep:
 
     build(t) keeps the bracket table t, which entries(A) and dense(A) read.
     mats, the 248 int64 CSR matrices of the exact engine, is built on first
-    access; AdjointRep(mats) takes a given list instead.
+    access; AdjointRep(mats) takes a given list instead.  The matrices are
+    never edited in place: pair_table(t) keeps the pair results checked
+    against each bracket table t, and a changed matrix needs a new rep.
     """
 
     def __init__(self, mats=None, t: StructureTensor | None = None):
         if mats is not None:
             self.mats = mats
         self.t = t
+        self._pair_tables = weakref.WeakKeyDictionary()
 
     @classmethod
     def build(cls, t: StructureTensor) -> "AdjointRep":
@@ -187,6 +193,11 @@ class AdjointRep:
     def mats(self) -> list:
         m = _ad_stack(self.t)
         return [m[a * DIM:(a + 1) * DIM] for a in range(DIM)]
+
+    def pair_table(self, t: StructureTensor) -> tuple[np.ndarray, np.ndarray]:
+        """The [248, 248] bool grids (done, fail) of the pairs (a, b), b > a,
+        checked so far against the bracket table t; kept while t lives."""
+        return self._pair_tables.setdefault(t, np.zeros((2, DIM, DIM), dtype=bool))
 
     def entries(self, f: int):
         """(rows, cols, vals) of ad(basis_f): a table entry (f, b, c, v) is v
@@ -312,32 +323,47 @@ def _pair_failures(mats, structure, rows, lo, hi) -> np.ndarray:
     return mask
 
 
-def _pair_suites(mats, structure, strata, label) -> list[SuiteReport]:
+def _pair_suites(mats, structure, strata, label, table) -> list[SuiteReport]:
     """One SuiteReport per (name, select) stratum from one engine pass.
 
-    select(a, b) marks the pairs of a stratum on broadcast index grids;
-    the engine runs only the rows some stratum needs, each over the window
-    from the first to the last b that some stratum selects in that row.
-    Pairs inside a window that no stratum selects are computed and masked.
-    Failures are read off the mask in flat-index order, so the first
-    counterexample is the first failing pair (a, b) with a, then b,
-    increasing; strata from one pass share its elapsed time.
+    select(a, b) marks the pairs of a stratum on broadcast index grids.
+    table holds the [n, n] bool grids (done, fail) of the pairs b > a
+    computed so far (AdjointRep.pair_table) and is updated in place.  With
+    Z_ab = [M_a, M_b] - sum_c T_a[c, b] M_c, a block-antisymmetric
+    structure (T_b[c, a] = -T_a[c, b], checked exactly; ValueError if not)
+    gives Z_ba = -Z_ab, so the engine runs only the pairs b > a, not yet
+    done, that some stratum or its mirror needs, each row over the window
+    from the first to the last of them; (b, a) fails exactly when (a, b)
+    does, and (a, a) passes.  Failures are read off in flat-index order, so
+    the first counterexample is the first failing pair (a, b) with a, then
+    b, increasing; strata from one call share its elapsed time.
     """
-    t0 = time.time()
+    import scipy.sparse as sp
+    t0 = time.perf_counter()
     n = len(mats)
+    s = structure.tocoo()
+    a, c = np.divmod(s.row, n)
+    if (structure + sp.csr_matrix((s.data, (s.col * n + c, a)), shape=s.shape)).count_nonzero():
+        raise ValueError("the stacked right-hand side is not block-antisymmetric")
+    done, fail = table
     a, b = np.arange(n)[:, None], np.arange(n)[None, :]
     selects = [(name, select(a, b)) for name, select in strata]
     need = np.zeros((n, n), dtype=bool)
     for _, sel in selects:
         need |= sel
+    need = np.triu(need | need.T, 1) & ~done
     rows = np.flatnonzero(need.any(axis=1))
-    lo, hi = need[rows].argmax(axis=1), n - need[rows, ::-1].argmax(axis=1)
-    mask = _pair_failures(mats, structure, rows, lo, hi)
-    elapsed = time.time() - t0
+    if len(rows):
+        lo, hi = need[rows].argmax(axis=1), n - need[rows, ::-1].argmax(axis=1)
+        window = (b >= lo[:, None]) & (b < hi[:, None])
+        fail[rows] |= _pair_failures(mats, structure, rows, lo, hi) & window
+        done[rows] |= window
+    both = fail | fail.T
+    elapsed = time.perf_counter() - t0
     reports = []
     for name, sel in selects:
-        bad = np.argwhere(mask & sel[rows])
-        first = label(rows[bad[0, 0]], bad[0, 1]) if len(bad) else None
+        bad = np.argwhere(both & sel)
+        first = label(*bad[0]) if len(bad) else None
         reports.append(SuiteReport(name, int(sel.sum()), len(bad), first, elapsed))
     return reports
 
@@ -358,13 +384,15 @@ def verify_defining_relations(
     Strata: vector-vector (all 14400 ordered pairs), vector-spinor (all
     120 x 128 pairs), spinor-spinor (all 8128 unordered pairs).  Exact
     integer comparison; the first failing pair is reported by name.  The
-    right-hand sides are read from the stored table of t at call time.
+    right-hand sides are read from the stored table of t; pairs already in
+    rep.pair_table(t), which verify_jacobi shares, are not recomputed.
     """
     return _pair_suites(
         rep.mats,
         _ad_stack(t),
         [(name, _RELATION_STRATA[name]) for name in ALL_RELATION_STRATA if name in strata],
         lambda a, b: f"[{flat_label(a)}, {flat_label(b)}]",
+        rep.pair_table(t),
     )
 
 
@@ -458,10 +486,13 @@ def verify_jacobi(
     generator in the first two slots, i.e. the exhaustive JJJ, JJQ and JQQ
     strata) use the pair reduction: [[X,Y],Z] + cyc = 0 for all Z is
     equivalent to ad([X,Y]) = [ad X, ad Y] as 248x248 matrices, checked
-    exactly per pair.  The QQQ stratum is always scanned exhaustively, all
-    8128 (alpha < beta) pairs against all 128 gamma simultaneously; the
-    sampled report (n seeded triples) is read off the scan's failure table,
-    and full_spinor also reports the scan itself.
+    exactly per pair in rep.pair_table(t), which the relation strata share:
+    after verify_defining_relations on the same rep and t they compute
+    nothing.
+    The QQQ stratum is always scanned exhaustively, all 8128 (alpha < beta)
+    pairs against all 128 gamma simultaneously; the sampled report (n
+    seeded triples) is read off the scan's failure table, and full_spinor
+    also reports the scan itself.
     """
     import scipy.sparse as sp
     reports = _pair_suites(
@@ -472,6 +503,7 @@ def verify_jacobi(
             ("jacobi-JQ*-pairs", _RELATION_STRATA["vector-spinor"]),
         ],
         lambda a, b: f"pair ({flat_label(a)}, {flat_label(b)})",
+        rep.pair_table(t),
     )
 
     # per-entry tables read from the *stored* tensor coefficients, so a

@@ -323,12 +323,18 @@ def test_defining_relations_pass(rep, tensor):
         assert r.passed, r.to_dict()
 
 
-def test_fault_injection_corrupted_entry(rep, tensor):
+def _corrupted_mats(rep):
+    """Copies of the adjoint matrices with entry (5, 200) of ad(J(1,2))
+    raised by 1, +1/2 in true units."""
     mats = [m.copy() for m in rep.mats]
     bad = mats[vector_flat(1, 2)].tolil()
-    bad[5, 200] += 1  # +1/2 in true units
+    bad[5, 200] += 1
     mats[vector_flat(1, 2)] = bad.tocsr()
-    broken = AdjointRep(mats)
+    return mats
+
+
+def test_fault_injection_corrupted_entry(rep, tensor):
+    broken = AdjointRep(_corrupted_mats(rep))
     reports = verify_defining_relations(broken, tensor)
     assert any(not r.passed for r in reports)
     first_bad = next(r for r in reports if not r.passed)
@@ -338,6 +344,22 @@ def test_fault_injection_corrupted_entry(rep, tensor):
 def _with_coeffs(t, v):
     """The tensor t with its stored coefficients replaced by v."""
     return StructureTensor(t.a, t.b, t.c, v, t.pi, t.sg)
+
+
+def _certify_reports(r, t):
+    """The report dicts of the engine calls the certify benchmark makes, in
+    its order: each relation stratum alone, then verify_jacobi."""
+    out = [x for s in alg.ALL_RELATION_STRATA for x in verify_defining_relations(r, t, strata=(s,))]
+    out += verify_jacobi(r, t, samples=100, seed=0, full_spinor=True)
+    return [x.to_dict() for x in out]
+
+
+def _flipped(t, *pairs):
+    """t with the first stored coefficient of each [basis_a, basis_b] negated."""
+    v = t.v.copy()
+    for a, b in pairs:
+        v[np.flatnonzero((t.a == a) & (t.b == b))[0]] *= -1
+    return _with_coeffs(t, v)
 
 
 def test_relations_fault_injection_flipped_vector_spinor_coeff(rep, tensor):
@@ -381,30 +403,98 @@ def test_windowed_engine_matches_full_width_oracle(rep, tensor, monkeypatch, a, 
     # one stored coefficient of [basis_a, basis_b] flips sign, at a window
     # edge of the calls the certify benchmark makes: every report equals
     # the one built through the full-width engine
-    v = tensor.v.copy()
-    (pos,) = np.flatnonzero((tensor.a == a) & (tensor.b == b))[:1]
-    v[pos] *= -1
-    t = _with_coeffs(tensor, v)
-
-    def reports():
-        out = [r for s in alg.ALL_RELATION_STRATA for r in verify_defining_relations(rep, t, strata=(s,))]
-        out += verify_jacobi(rep, t, samples=100, seed=0, full_spinor=True)
-        return [r.to_dict() for r in out]
-
-    got = reports()
+    t = _flipped(tensor, (a, b))
+    got = _certify_reports(rep, t)
     cache = {}
 
     def oracle(mats, structure, rows, lo, hi):
-        # every call reads rep.mats and the table of t, so calls that ask
-        # for the same rows share one oracle pass
-        key = tuple(rows)
-        if key not in cache:
-            cache[key] = _full_width_pair_failures(mats, structure, rows)
-        return cache[key]
+        # every call reads rep.mats and the table of t, so each row is
+        # computed once at full width
+        new = [r for r in rows if r not in cache]
+        if new:
+            cache.update(zip(new, _full_width_pair_failures(mats, structure, new)))
+        return np.array([cache[r] for r in rows])
 
     monkeypatch.setattr(alg, "_pair_failures", oracle)
-    assert got == reports()
+    # a fresh rep starts with an empty pair table, so the oracle runs
+    assert got == _certify_reports(AdjointRep(rep.mats), t)
+    assert sorted(cache) == list(range(247))  # every row with some b > a
     assert not all(d["passed"] for d in got)
+
+
+def test_pair_table_serves_warm_calls_in_either_order(rep, tensor):
+    # one fault in each relation stratum; every call on a rep whose pair
+    # table is warm reports what a call on a fresh rep does
+    ss = spinor_flat(5), int(tensor.b[np.argmax(tensor.a == spinor_flat(5))])
+    t = _flipped(tensor, (vector_flat(2, 5), vector_flat(5, 9)), (vector_flat(3, 4), spinor_flat(7)), ss)
+
+    def relations(r):
+        return [x.to_dict() for x in verify_defining_relations(r, t)]
+
+    def jacobi(r):
+        return [x.to_dict() for x in verify_jacobi(r, t, samples=100, seed=0, full_spinor=True)]
+
+    cold = {f: f(AdjointRep(rep.mats)) for f in (relations, jacobi)}
+    assert not any(d["passed"] for d in cold[relations])
+    assert not all(d["passed"] for d in cold[jacobi])
+    for order in ((relations, jacobi), (jacobi, relations)):
+        r = AdjointRep(rep.mats)
+        for f in order + order:  # cold, then warm
+            assert f(r) == cold[f], f.__name__
+
+
+def test_pair_table_is_kept_per_table_and_rep(rep, tensor):
+    # after a clean run on the session rep and tensor, an edited tensor and
+    # a new rep with one corrupted entry name the first bad pair as fresh
+    # objects do
+    assert all(x.passed for x in verify_defining_relations(rep, tensor))
+    assert all(x.passed for x in verify_jacobi(rep, tensor, samples=100, seed=0))
+    t = _flipped(tensor, (vector_flat(2, 5), spinor_flat(17)))
+    edited = _certify_reports(rep, t)
+    assert edited == _certify_reports(AdjointRep(rep.mats), t)
+    assert edited[1]["first_counterexample"] == "[J(2,5), Q(17)]"
+    assert edited[4]["first_counterexample"] == "pair (J(2,5), Q(17))"
+
+    mats = _corrupted_mats(rep)
+    broken = _certify_reports(AdjointRep(mats), tensor)
+    assert broken == _certify_reports(AdjointRep(mats), _with_coeffs(tensor, tensor.v))
+    assert broken[0]["first_counterexample"] == "[J(1,2), J(1,3)]"
+    assert broken[3]["first_counterexample"] == "pair (J(1,2), J(1,3))"
+
+
+def test_certify_calls_compute_each_pair_once(rep, tensor, monkeypatch):
+    # over the certify call sequence the engine computes every pair b > a
+    # that some stratum reads exactly once, and no pair b <= a
+    count = np.zeros((DIM, DIM), dtype=np.int64)
+    engine = alg._pair_failures
+
+    def counted(mats, structure, rows, lo, hi):
+        for a, b0, b1 in zip(rows, lo, hi):
+            count[a, b0:b1] += 1
+        return engine(mats, structure, rows, lo, hi)
+
+    monkeypatch.setattr(alg, "_pair_failures", counted)
+    assert all(d["passed"] for d in _certify_reports(AdjointRep(rep.mats), tensor))
+    assert count.max() == 1
+    assert not np.tril(count).any()
+    assert count.sum() == 120 * 119 // 2 + 120 * 128 + 128 * 127 // 2
+
+
+def test_pair_suites_rejects_a_structure_that_is_not_antisymmetric(rep, tensor):
+    # J(1,2) has no J(1,2) term in [J(1,2), J(1,3)], nor in [J(1,3), J(1,2)]:
+    # one entry there has no mirror, and b < a could not be read off b > a
+    structure = alg._ad_stack(tensor) + sp.csr_matrix(([2], ([0], [1])), shape=(DIM * DIM, DIM))
+    with pytest.raises(ValueError, match="antisymmetric"):
+        alg._pair_suites(rep.mats, structure, [("vector-vector", alg._RELATION_STRATA["vector-vector"])],
+                         str, np.zeros((2, DIM, DIM), dtype=bool))
+
+
+def test_warm_jacobi_reports_positive_elapsed(rep, tensor):
+    # the pair strata served from the pair table report the wall time of
+    # their call, which the benchmark divides by
+    verify_defining_relations(rep, tensor)
+    for r in verify_jacobi(rep, tensor, samples=100, seed=0, full_spinor=True):
+        assert r.elapsed_s > 0, r.name
 
 
 def test_jacobi_passes(rep, tensor):
@@ -457,11 +547,7 @@ def _qqq_cyclic_sum(t, x, y, z):
 
 
 def test_jacobi_pairs_fault_injection_corrupted_entry(rep, tensor):
-    mats = [m.copy() for m in rep.mats]
-    bad = mats[vector_flat(1, 2)].tolil()
-    bad[5, 200] += 1
-    mats[vector_flat(1, 2)] = bad.tocsr()
-    reports = verify_jacobi(AdjointRep(mats), tensor, samples=10, seed=0)
+    reports = verify_jacobi(AdjointRep(_corrupted_mats(rep)), tensor, samples=10, seed=0)
     jj = next(r for r in reports if r.name == "jacobi-JJ*-pairs")
     assert not jj.passed
     assert jj.first_counterexample == "pair (J(1,2), J(1,3))"
@@ -512,6 +598,7 @@ def _sparse_so16_report(pi, sg):
     (report,) = alg._pair_suites(
         mats, structure, [("so16-spinor-rep", alg._RELATION_STRATA["vector-vector"])],
         lambda a, b: "[Delta(%d,%d), Delta(%d,%d)]" % (*alg.VECTOR_PAIRS[a], *alg.VECTOR_PAIRS[b]),
+        np.zeros((2, 120, 120), dtype=bool),
     )
     return report
 

@@ -160,6 +160,17 @@ def test_cli_artifacts_match_golden_digests(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digests["verify_spinor"]
 
 
+# sha256 of the `verify --suite all --jacobi-full --out` payload (seed 0,
+# 1e5 samples), which golden.json does not pin
+VERIFY_ALL_JACOBI_FULL_SHA256 = "a83884da460c272f71b18998ede29fb83372fcd2be04566ce25bc3fb0b5ff9d9"
+
+
+def test_cli_verify_all_matches_its_digest(tmp_path):
+    out = tmp_path / "verify-all.json"
+    assert cli.main(["verify", "--suite", "all", "--jacobi-full", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_ALL_JACOBI_FULL_SHA256
+
+
 def test_cli_verify_clifford():
     r = _run_cli(["verify", "--suite", "clifford"])
     assert r.returncode == 0
