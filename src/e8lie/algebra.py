@@ -14,15 +14,13 @@ The spinor indices on Delta in the mixed and spinor-spinor rules are read
 column-first; this is the unique reading under which the canonical adjoint
 is a homomorphism (equivalently: the Jacobi identity holds) and the Killing
 form is negative definite, and it makes ad(J_ij) restrict to exactly
-Delta_ij on the spinor block.  The -4 scaling on the odd blocks of the
-alternative "display" generators is preserved by build_display_blocks and
-measured by display_block_relation.
+Delta_ij on the spinor block.
 
 The structure constants exist once, as the bracket table of
 StructureTensor: four aligned int64 arrays (a, b, c, v) with one entry per
 nonzero doubled coefficient v of basis_c in [basis_a, basis_b], a < b,
-sorted by (a, b, c).  The adjoint matrices, the display blocks and the
-Jacobi tables are read off it by array operations.
+sorted by (a, b, c).  The adjoint matrices and the Jacobi tables are read
+off it by array operations.
 
 The so(16) rule exists once, as the tables of _so16_structure, which both
 the bracket table and the two so(16) spinor checks read; those checks
@@ -33,8 +31,8 @@ one sparse step with a row operator, the right-hand side folded in, over
 the window of b its strata select; reports are ordered by flat index.
 The rep keeps one pair table per bracket table, which both suites share,
 so each pair runs at most once, and only with b > a: b < a is read off by
-antisymmetry.  Only this engine, the QQQ scan, the exact certificates and
-the display blocks load scipy.sparse.
+antisymmetry.  Only this engine, the QQQ scan and the exact certificates
+load scipy.sparse.
 """
 
 from __future__ import annotations
@@ -50,12 +48,10 @@ from .clifford import (
     SpinorGenerators,
     anticommutation_failures,
     perm_compose,
-    perm_decode,
     perm_transpose,
     quarter_commutators,
-    sigma_arrays,
 )
-from .halfint import HalfIntMatrix, InexactDivision
+from .halfint import HalfIntMatrix
 
 N_VECTOR = 16
 NV = 120
@@ -114,7 +110,7 @@ class StructureTensor:
     with a < b are stored, so the table is antisymmetric by construction;
     it is sorted by (a, b, c).  pi and sg are the (perm, sign) arrays of
     the doubled Delta_ij, shared with SpinorGenerators, for the so(16)
-    spinor check, the display blocks and the Cartan search.
+    spinor check and the Cartan search.
     """
 
     def __init__(self, a, b, c, v, pi, sg):
@@ -211,55 +207,6 @@ class AdjointRep:
         rows, cols, vals = self.entries(f)
         m[rows, cols] = vals
         return m
-
-
-def build_display_blocks(t: StructureTensor) -> list:
-    """The 248 block matrices in the display normalization (doubled CSR).
-
-    The vector blocks are block-diagonal (so(16) constants and Delta_ij);
-    the spinor blocks are block-off-diagonal with entries +4 Delta on the
-    (vector-row, spinor-column) side and -4 Delta on the other, read
-    row-first as displayed.  display_block_relation measures the exact
-    factor against the canonical adjoint.
-    """
-    import scipy.sparse as sp
-    # vector blocks: identical content to the canonical ad(J_ij)
-    out = AdjointRep.build(t).mats[:NV]
-    # spinor blocks with the explicit factor 4 and minus sign: in the block
-    # of Q_alpha, entry (vector-row k, spinor-col beta) is
-    # 4 * (Delta_k)_{alpha, beta} and (spinor-row beta, vector-col k) its negative
-    k = np.arange(NV)
-    return out + [
-        sp.csr_matrix((np.r_[4 * s, -4 * s], (np.r_[k, b], np.r_[b, k])), shape=(DIM, DIM))
-        for b, s in zip(NV + t.pi.T, t.sg.T)
-    ]
-
-
-def display_block_relation(rep: AdjointRep, blocks) -> tuple[bool, int]:
-    """Compare display blocks with the canonical adjoint.
-
-    Returns (vector_blocks_equal, spinor_factor) where spinor_factor is the
-    exact uniform integer with blocks[Q] == factor * ad(Q); raises if no
-    uniform factor exists.
-    """
-    vec_equal = all((blocks[a] - rep.mats[a]).nnz == 0 for a in range(NV))
-    factor = None
-    for a in range(NV, DIM):
-        ad = rep.mats[a]
-        bl = blocks[a]
-        if factor is None:
-            ad_coo = ad.tocoo()
-            if ad_coo.nnz == 0:
-                continue
-            i, j = ad_coo.row[0], ad_coo.col[0]
-            num = bl[i, j]
-            den = ad_coo.data[0]
-            if num % den:
-                raise ValueError("display blocks are not an integer multiple of ad")
-            factor = int(num // den)
-        if (bl - ad * factor).nnz != 0:
-            raise ValueError(f"display block {flat_label(a)} violates the uniform factor")
-    return vec_equal, factor
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +353,7 @@ def _verify_eq1_family(pi: np.ndarray, sg: np.ndarray, name: str) -> SuiteReport
     exactly when its totals at the three columns of those entries are.
     One row a is checked at a time, against every b at once.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     target, coeff = _so16_structure()
     fail = np.zeros((NV, NV), dtype=bool)
     for a in range(NV):
@@ -417,7 +364,7 @@ def _verify_eq1_family(pi: np.ndarray, sg: np.ndarray, name: str) -> SuiteReport
     bad = np.argwhere(fail)
     first = ("[Delta(%d,%d), Delta(%d,%d)]" % (*VECTOR_PAIRS[bad[0, 0]], *VECTOR_PAIRS[bad[0, 1]])
              if len(bad) else None)
-    return SuiteReport(name, NV * NV, len(bad), first, time.time() - t0)
+    return SuiteReport(name, NV * NV, len(bad), first, time.perf_counter() - t0)
 
 
 def verify_so16_on_spinors(t: StructureTensor) -> SuiteReport:
@@ -433,7 +380,7 @@ def verify_chirality_consistency(g) -> SuiteReport:
     formed from both terms on the permutation arrays of the blocks; a pair
     whose terms do not combine to 1/2 * signed permutation raises.
     """
-    pi, sg = quarter_commutators(perm_transpose(sigma_arrays(g)))
+    pi, sg = quarter_commutators(perm_transpose((g.perm, g.sign)))
     return _verify_eq1_family(pi, sg, "so16-spinor-rep-negative-chirality")
 
 
@@ -441,21 +388,16 @@ def verify_clifford_pairs(g) -> list[SuiteReport]:
     """Exact anticommutation over all 136 unordered pairs, both families,
     plus the signed-permutation shape of every block.
 
-    Each block is decoded once; a block that is not a signed permutation
-    fails the shape stratum and every pair of both families that contains it.
+    A block is a signed permutation when its perm row is a permutation and
+    every sign is +-1; one that is not fails the shape stratum and every
+    pair of both families that contains it.
     """
-    t0 = time.time()
-    perm = np.tile(np.arange(NS), (N_VECTOR, 1))
-    sign = np.ones((N_VECTOR, NS), dtype=np.int64)
-    bad = np.zeros(N_VECTOR, dtype=bool)
-    for i, s in enumerate(g.sigma):
-        try:
-            perm[i], sign[i] = perm_decode(s.scale_half().doubled)
-        except (ValueError, InexactDivision):
-            bad[i] = True
+    t0 = time.perf_counter()
+    perm, sign = g.perm, g.sign
+    bad = (np.sort(perm, axis=1) != np.arange(NS)).any(axis=1) | (np.abs(sign) != 1).any(axis=1)
     first = f"Sigma_{np.argmax(bad) + 1}" if bad.any() else None
     shape = SuiteReport(
-        "clifford-signed-permutation", N_VECTOR, int(bad.sum()), first, time.time() - t0
+        "clifford-signed-permutation", N_VECTOR, int(bad.sum()), first, time.perf_counter() - t0
     )
 
     iu = np.triu_indices(N_VECTOR)
@@ -466,10 +408,10 @@ def verify_clifford_pairs(g) -> list[SuiteReport]:
         ("clifford-anticommutation-transposed", perm_transpose((perm, sign)),
          "Sigma_{i}^T Sigma_{j} + Sigma_{j}^T Sigma_{i}"),
     ):
-        t0 = time.time()
+        t0 = time.perf_counter()
         fail = np.flatnonzero((anticommutation_failures(x) | bad[:, None] | bad[None, :])[iu])
         first = label.format(i=iu[0][fail[0]] + 1, j=iu[1][fail[0]] + 1) if len(fail) else None
-        reports.append(SuiteReport(name, len(iu[0]), len(fail), first, time.time() - t0))
+        reports.append(SuiteReport(name, len(iu[0]), len(fail), first, time.perf_counter() - t0))
     return reports + [shape]
 
 
@@ -522,7 +464,7 @@ def verify_jacobi(
     # cyclic sum of [[Q_al, Q_be], Q_g] against the tensor.  For each al the
     # terms of every (be > al, g, d) go into one sparse matrix with row
     # be*128 + g and column d, which sums them exactly.
-    t0 = time.time()
+    t0 = time.perf_counter()
     fail = np.zeros((NS, NS, NS), dtype=bool)
     ar = np.arange(NS)
     for al in range(NS):
@@ -542,7 +484,7 @@ def verify_jacobi(
         tot.sum_duplicates()
         tot.eliminate_zeros()
         fail[al] = np.diff(tot.indptr).reshape(NS, NS) > 0
-    full_s = time.time() - t0
+    full_s = time.perf_counter() - t0
 
     # sampled QQQ triples, read off the scan: with the stored table
     # antisymmetric the cyclic sum is totally antisymmetric, so a triple
@@ -553,7 +495,7 @@ def verify_jacobi(
     bad = np.flatnonzero((x < y) & (y < z) & fail[x, y, z])
     first = "triple (Q(%d), Q(%d), Q(%d))" % tuple(triples[bad[0]] + 1) if len(bad) else None
     reports.append(
-        SuiteReport("jacobi-QQQ-sampled", samples, len(bad), first, time.time() - t0)
+        SuiteReport("jacobi-QQQ-sampled", samples, len(bad), first, time.perf_counter() - t0)
     )
 
     if full_spinor:

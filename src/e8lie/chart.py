@@ -178,11 +178,6 @@ def torus_decomposition(rs: RootSystem, rep: AdjointRep) -> TorusDecomposition:
     return td
 
 
-def final_cartan_matrices(rs: RootSystem, rep: AdjointRep) -> list[np.ndarray]:
-    """The torus axis generators as real matrices (true values)."""
-    return [sign * (rep.dense(flat) / 2.0) for flat, sign in zip(rs.axis_flats, rs.axis_sign)]
-
-
 def _validate_decomposition(td: TorusDecomposition, rs: RootSystem, rep: AdjointRep):
     # q orthogonal and C q = q B (so q^T C q = B) for each axis C, where
     # column c2 of q B is rate * q[:, c1] and column c1 is -rate * q[:, c2];
@@ -315,9 +310,7 @@ class ChartEngine:
 
         Returns (rank, singular values, threshold).
         """
-        import scipy.linalg
-        jac = self.chart_jacobian(p)
-        svals = scipy.linalg.svdvals(jac)
+        svals = np.linalg.svd(self.chart_jacobian(p), compute_uv=False)
         threshold = svals[0] * 1e-6
         rank = int((svals > threshold).sum())
         return rank, svals, threshold

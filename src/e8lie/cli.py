@@ -13,7 +13,7 @@ queries need numpy only.  verify builds only what its suites read.  The
 gamma blocks and both so(16) spinor families are checked on their
 permutation arrays, so `verify --suite clifford` needs numpy only; the
 other suites also build the bracket table and run the exact sparse engine,
-which loads scipy.sparse.  rank loads scipy.linalg.svdvals.
+which loads scipy.sparse.
 """
 
 from __future__ import annotations

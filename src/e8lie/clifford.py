@@ -10,8 +10,8 @@ matrices whose chirality splitting is diagonal in the tensor basis.
 All factors are signed permutations, so the blocks and the generators
 Delta_ij are built and checked as permutation arrays: int64 pairs
 (perm, sign) with M[r, perm[r]] = sign[r], stacked along leading axes.
-perm_decode is the one decoder from dense arrays.  Sigma_i is kept as a
-HalfIntMatrix, Delta_ij only as arrays (made dense on first access), and
+perm_decode is the one decoder from dense arrays.  Sigma_i and Delta_ij
+are both kept only as arrays and made dense HalfIntMatrix on first access;
 the dense halfint kernel is the independent oracle of the tests.
 
 Correctness is defined by the machine-checked invariants (signed
@@ -150,15 +150,25 @@ def quarter_commutators(x):
     return p[i, j], sign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compare by identity
 class GammaSystem:
-    """The sixteen chirality blocks mapping the positive to the negative spinors."""
+    """The sixteen chirality blocks mapping the positive to the negative spinors.
 
-    sigma: tuple[HalfIntMatrix, ...]
+    Row i - 1 of the [16, 128] int64 arrays perm and sign is Sigma_i as
+    (perm, sign).
+    """
+
+    perm: np.ndarray
+    sign: np.ndarray
 
     def __post_init__(self):
-        if len(self.sigma) != N_VECTOR:
-            raise GammaConstructionError("expected 16 blocks")
+        if self.perm.shape != (N_VECTOR, SPINOR_DIM) or self.sign.shape != self.perm.shape:
+            raise GammaConstructionError("expected 16 blocks of 128 rows")
+
+    @cached_property
+    def sigma(self) -> tuple[HalfIntMatrix, ...]:
+        """The dense Sigma_i, formed on first access."""
+        return tuple(HalfIntMatrix.from_true_ints(s) for s in perm_dense((self.perm, self.sign)))
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compare by identity
@@ -182,12 +192,6 @@ class SpinorGenerators:
             (int(i) + 1, int(j) + 1): HalfIntMatrix(perm_dense((p, s)))
             for (i, j), p, s in zip(pairs, self.perm, self.sign)
         }
-
-
-def sigma_arrays(g: GammaSystem):
-    """The sixteen blocks as one stacked (perm, sign); raises ValueError or
-    InexactDivision unless every block is a signed permutation."""
-    return perm_decode(np.stack([s.scale_half().doubled for s in g.sigma]))
 
 
 def build_gamma_system(self_check: bool = True) -> GammaSystem:
@@ -226,10 +230,10 @@ def build_gamma_system(self_check: bool = True) -> GammaSystem:
             if fail_t[i, j]:
                 raise GammaConstructionError(f"Sigma_{i + 1}^T Sigma_{j + 1} anticommutation failed")
 
-    return GammaSystem(sigma=tuple(HalfIntMatrix.from_true_ints(s) for s in perm_dense(sigma)))
+    return GammaSystem(*sigma)
 
 
 def spinor_generators(g: GammaSystem) -> SpinorGenerators:
     """Delta_ij = (1/4)(Sigma_i Sigma_j^T - Sigma_j Sigma_i^T) for i < j; raises
     ValueError or InexactDivision unless each is 1/2 * a signed permutation."""
-    return SpinorGenerators(*quarter_commutators(sigma_arrays(g)))
+    return SpinorGenerators(*quarter_commutators((g.perm, g.sign)))

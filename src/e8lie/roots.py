@@ -89,6 +89,13 @@ def _key(rows) -> np.ndarray:
     return ((np.asarray(rows, dtype=np.int64) + 4) * 9 ** np.arange(RANK, dtype=np.int64)).sum(axis=-1)
 
 
+def _isin(keys, table) -> np.ndarray:
+    """np.isin(keys, table) for integer keys, by sorted search (np.isin on
+    wide keys goes through np.unique, which imports numpy.ma)."""
+    table = np.sort(table, axis=None)
+    return table[np.searchsorted(table, keys).clip(max=table.size - 1)] == keys
+
+
 def _deterministic_t(retry: int) -> np.ndarray:
     # exactly representable rationals, shifted deterministically on retry
     return np.array([1.0 / (100 + 7 * (a + 1) + 97 * retry) for a in range(RANK)])
@@ -143,9 +150,10 @@ def _extract(c: CartanSet, rep: AdjointRep, tol: float):
     rates, vecs, lam = got
     scale, dbl, resid = _snap(rates, tol)
     keys = _key(dbl)
-    if np.unique(keys).size != 240:
-        raise RootExtractionError(f"expected 240 distinct roots, got {np.unique(keys).size}")
-    if not np.isin(_key(-dbl), keys).all():
+    distinct = 1 + np.count_nonzero(np.diff(np.sort(keys)))
+    if distinct != 240:
+        raise RootExtractionError(f"expected 240 distinct roots, got {distinct}")
+    if not _isin(_key(-dbl), keys).all():
         raise RootExtractionError("root set not closed under negation")
     return {"dbl": dbl, "scale": scale, "vecs": vecs, "lam": lam, "resid": resid}
 
@@ -159,7 +167,7 @@ def choose_positive_and_simple(roots):
         raise RootExtractionError("positivity functional tie")
     positives = r[vals > 0]
     diffs = positives[:, None, :] - positives[None, :, :]
-    simples = positives[~np.isin(_key(diffs), _key(positives)).any(axis=1)]
+    simples = positives[~_isin(_key(diffs), _key(positives)).any(axis=1)]
     if len(simples) != RANK:
         raise RootExtractionError(f"expected 8 simple roots, found {len(simples)}")
     return positives, simples
@@ -218,7 +226,7 @@ def highest_root_and_marks(positives, simples):
     """The unique positive root with r + a_i never a root, and its marks."""
     pos, s = np.asarray(positives, dtype=np.int64), np.asarray(simples, dtype=np.int64)
     root_keys = np.r_[_key(pos), _key(-pos)]
-    tops = pos[~np.isin(_key(pos[:, None, :] + s[None, :, :]), root_keys).any(axis=1)]
+    tops = pos[~_isin(_key(pos[:, None, :] + s[None, :, :]), root_keys).any(axis=1)]
     if len(tops) != 1:
         raise RootExtractionError(f"highest root not unique: {len(tops)} candidates")
     high = tops[0]
@@ -240,7 +248,7 @@ def weyl_reflection_closure(roots) -> bool:
     # reflected[i, j] = s_{a_i}(a_j); all roots have norm 2 here
     reflected = arr[None, :, :] - (pair4 // 4)[:, :, None] * arr[:, None, :]
     # a row outside [-2, 2] is no root (and would leave the exact key range)
-    return bool((np.abs(reflected) <= 2).all() and np.isin(_key(reflected), _key(arr)).all())
+    return bool((np.abs(reflected) <= 2).all() and _isin(_key(reflected), _key(arr)).all())
 
 
 def build_root_system(rep: AdjointRep, cartan: CartanSet, tol: float = 1e-9) -> RootSystem:
@@ -259,13 +267,13 @@ def build_root_system(rep: AdjointRep, cartan: CartanSet, tol: float = 1e-9) -> 
     signs[-1] = 1 - 2 * parity[0]
 
     conventional = np.array(CONVENTIONAL_SIMPLES_DOUBLED, dtype=np.int64)
-    literal_raw_match = bool(np.isin(_key(conventional), _key(dbl)).all())
+    literal_raw_match = bool(_isin(_key(conventional), _key(dbl)).all())
 
     # the one gauge step: parity signs on the raw axes, then the axes reversed
     roots = (dbl * signs)[:, ::-1]
     axis_flats, axis_sign = cartan.flats[::-1], signs[::-1]
     positives, simples = choose_positive_and_simple(roots)
-    conventional_labeling = bool(np.isin(_key(simples), _key(conventional)).all())
+    conventional_labeling = bool(_isin(_key(simples), _key(conventional)).all())
     if conventional_labeling:
         simples = conventional
     else:

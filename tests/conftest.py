@@ -46,3 +46,10 @@ def region(pipe):
 @pytest.fixture(scope="session")
 def engine(pipe):
     return pipe.engine
+
+
+@pytest.fixture(scope="session")
+def cartan_matrices(root_system, rep):
+    """The torus axis generators as real matrices (true values)."""
+    axes = zip(root_system.axis_flats, root_system.axis_sign)
+    return [sign * (rep.dense(flat) / 2.0) for flat, sign in axes]

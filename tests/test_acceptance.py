@@ -120,14 +120,13 @@ def test_criterion_07b_kernel_multiplicity(rep, cartan):
     _ok(7, "joint kernel multiplicity exactly 8 (240 nonzero eigenvectors)")
 
 
-def test_criterion_08_torus_exponential(engine, root_system, rep):
-    cmats = ch.final_cartan_matrices(root_system, rep)
+def test_criterion_08_torus_exponential(engine, cartan_matrices):
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(100):
         y = rng.uniform(-1.5, 1.5, 8)
         t = engine.torus_element(y)
-        r = expm_antisymmetric(sum(y[a] * cmats[a] for a in range(8)))
+        r = expm_antisymmetric(sum(y[a] * cartan_matrices[a] for a in range(8)))
         worst = max(worst, float(np.abs(t - r).max()))
     assert worst < 1e-9
     worst_h = 0.0

@@ -12,9 +12,7 @@ from e8lie.algebra import (
     AdjointRep,
     StructureTensor,
     adjoint_rank,
-    build_display_blocks,
     centralizer_dimension,
-    display_block_relation,
     find_cartan,
     killing_form,
     no_ninth_commuting_spinor,
@@ -285,6 +283,54 @@ def test_adjoint_matrices_are_antisymmetric(rep):
 
 # ---------------------------------------------------------------------------
 # display-normalization blocks
+
+def build_display_blocks(t):
+    """The 248 block matrices in the display normalization (doubled CSR).
+
+    The vector blocks are block-diagonal (so(16) constants and Delta_ij);
+    the spinor blocks are block-off-diagonal with entries +4 Delta on the
+    (vector-row, spinor-column) side and -4 Delta on the other, read
+    row-first as displayed.  display_block_relation measures the exact
+    factor against the canonical adjoint.
+    """
+    # vector blocks: identical content to the canonical ad(J_ij)
+    out = AdjointRep.build(t).mats[:alg.NV]
+    # spinor blocks with the explicit factor 4 and minus sign: in the block
+    # of Q_alpha, entry (vector-row k, spinor-col beta) is
+    # 4 * (Delta_k)_{alpha, beta} and (spinor-row beta, vector-col k) its negative
+    k = np.arange(alg.NV)
+    return out + [
+        sp.csr_matrix((np.r_[4 * s, -4 * s], (np.r_[k, b], np.r_[b, k])), shape=(DIM, DIM))
+        for b, s in zip(alg.NV + t.pi.T, t.sg.T)
+    ]
+
+
+def display_block_relation(rep, blocks):
+    """Compare display blocks with the canonical adjoint.
+
+    Returns (vector_blocks_equal, spinor_factor) where spinor_factor is the
+    exact uniform integer with blocks[Q] == factor * ad(Q); raises if no
+    uniform factor exists.
+    """
+    vec_equal = all((blocks[a] - rep.mats[a]).nnz == 0 for a in range(alg.NV))
+    factor = None
+    for a in range(alg.NV, DIM):
+        ad = rep.mats[a]
+        bl = blocks[a]
+        if factor is None:
+            ad_coo = ad.tocoo()
+            if ad_coo.nnz == 0:
+                continue
+            i, j = ad_coo.row[0], ad_coo.col[0]
+            num = bl[i, j]
+            den = ad_coo.data[0]
+            if num % den:
+                raise ValueError("display blocks are not an integer multiple of ad")
+            factor = int(num // den)
+        if (bl - ad * factor).nnz != 0:
+            raise ValueError(f"display block {alg.flat_label(a)} violates the uniform factor")
+    return vec_equal, factor
+
 
 def test_display_blocks_relation(rep, tensor):
     blocks = build_display_blocks(tensor)

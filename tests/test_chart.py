@@ -7,7 +7,6 @@ import scipy.linalg
 from e8lie import chart as ch
 from e8lie.chart import (
     EulerPoint,
-    final_cartan_matrices,
     in_region_roots,
     in_region_roots_batch,
     in_region_solved,
@@ -173,13 +172,12 @@ def test_torus_orthogonal(engine):
         assert np.abs(t @ t.T - np.eye(248)).max() < 1e-10
 
 
-def test_torus_against_expm_oracle(engine, root_system, rep):
-    cmats = final_cartan_matrices(root_system, rep)
+def test_torus_against_expm_oracle(engine, cartan_matrices):
     rng = np.random.default_rng(11)
     for _ in range(10):
         y = rng.uniform(-1, 1, 8)
         t = engine.torus_element(y)
-        r = expm_antisymmetric(sum(y[a] * cmats[a] for a in range(8)))
+        r = expm_antisymmetric(sum(y[a] * cartan_matrices[a] for a in range(8)))
         assert np.abs(t - r).max() < 1e-9
 
 
@@ -253,11 +251,10 @@ def test_subgroup_single_factor_matches_expm(engine, rep):
     assert np.abs(s - expm_antisymmetric(gen * 0.613)).max() < 1e-12
 
 
-def test_subgroup_conjugates_cartan_to_abelian(engine, root_system, rep):
+def test_subgroup_conjugates_cartan_to_abelian(engine, cartan_matrices):
     rng = np.random.default_rng(23)
     g = engine.subgroup_element(rng.uniform(-0.5, 0.5, 120))
-    cmats = final_cartan_matrices(root_system, rep)
-    conj = [g @ c @ g.T for c in cmats]
+    conj = [g @ c @ g.T for c in cartan_matrices]
     flat = np.stack([c.ravel() for c in conj])
     svals = np.linalg.svd(flat, compute_uv=False)
     assert (svals > svals[0] * 1e-8).sum() == 8
@@ -298,6 +295,14 @@ def test_chart_rank_stable_between_nearby_points(engine, region):
     q = EulerPoint(p.x + 0.01, p.y + 0.01, p.z + 0.01)
     r2, _, _ = engine.chart_rank(q)
     assert r1 == r2 == 248
+
+
+def test_chart_rank_singular_values_match_scipy(engine, region):
+    # second path for the float rank, at the acceptance rank point
+    # (RANK_POINT_SEED 3, spread 0.6): scipy's svdvals of the same Jacobian
+    p = ch.random_euler_point(3, region, 0.6)
+    _, svals, _ = engine.chart_rank(p)
+    np.testing.assert_allclose(svals, scipy.linalg.svdvals(engine.chart_jacobian(p)), rtol=1e-12, atol=0)
 
 
 def _shifted(p, j, d):

@@ -22,11 +22,24 @@ from e8lie.clifford import (
     perm_dense,
     perm_transpose,
     quarter_commutators,
-    sigma_arrays,
     spinor_generators,
 )
-from e8lie.halfint import HalfIntMatrix, commutator, mat_mul
+from e8lie.halfint import HalfIntMatrix, InexactDivision, commutator, mat_mul
 from e8lie.pipeline import build_pipeline
+
+
+def _gamma_from_dense(blocks):
+    """A GammaSystem from sixteen dense blocks.  A block that does not decode
+    to a signed permutation becomes an all-zero row, which is no permutation
+    and fails the signed-permutation stratum."""
+    perm = np.zeros((16, 128), dtype=np.int64)
+    sign = np.zeros((16, 128), dtype=np.int64)
+    for i, s in enumerate(blocks):
+        try:
+            perm[i], sign[i] = perm_decode(s.scale_half().doubled)
+        except (ValueError, InexactDivision):
+            pass
+    return GammaSystem(perm, sign)
 
 
 def test_octonion_left_mults_are_clifford():
@@ -153,7 +166,7 @@ def test_spinor_generators_reject_cancelling_terms(gammas, fault):
         bad[:, 0] = -bad[:, 0]
     sigma[2] = HalfIntMatrix(bad)
     with pytest.raises(ValueError):
-        StructureTensor.build(spinor_generators(GammaSystem(sigma=tuple(sigma))))
+        StructureTensor.build(spinor_generators(_gamma_from_dense(sigma)))
 
 
 def test_fault_injection_names_pair(gammas):
@@ -162,8 +175,7 @@ def test_fault_injection_names_pair(gammas):
     bad = sigma[2].doubled.copy()
     bad[0, :] = -bad[0, :]
     sigma[2] = HalfIntMatrix(bad)
-    broken = GammaSystem(sigma=tuple(sigma))
-    reports = verify_clifford_pairs(broken)
+    reports = verify_clifford_pairs(_gamma_from_dense(sigma))
     anti = reports[0]
     assert not anti.passed
     assert "Sigma_3" in anti.first_counterexample
@@ -194,7 +206,7 @@ def test_permutation_arrays_match_dense_oracle(gammas, spinors):
     sigma = gammas.sigma
     assert list(sigma) == _dense_sigma(_cl8_gammas())
     assert list(spinors.delta) == list(VECTOR_PAIRS)
-    dprime = perm_dense(quarter_commutators(perm_transpose(sigma_arrays(gammas))))
+    dprime = perm_dense(quarter_commutators(perm_transpose((gammas.perm, gammas.sign))))
     for k, (i, j) in enumerate(VECTOR_PAIRS):
         si, sj = sigma[i - 1], sigma[j - 1]
         assert spinors.delta[(i, j)] == ((si @ sj.T) - (sj @ si.T)).scale_half().scale_half()
@@ -239,9 +251,9 @@ def test_self_check_names_first_bad_pair(monkeypatch):
     assert list(build_gamma_system(self_check=False).sigma) == sigma
 
 
-def _dense_clifford_reports(g):
+def _dense_clifford_reports(blocks):
     """The three Clifford strata by dense float products (exact here)."""
-    s = np.stack([m.to_float() for m in g.sigma])
+    s = np.stack([m.to_float() for m in blocks])
     out = []
     for name, x, label in (
         ("clifford-anticommutation", s, "Sigma_{i} Sigma_{j}^T + Sigma_{j} Sigma_{i}^T"),
@@ -275,10 +287,24 @@ def test_clifford_fault_injection_matches_dense(gammas, fault):
     else:
         bad[0, zero] = 1  # true entry 1/2
     sigma[2] = HalfIntMatrix(bad)
-    broken = GammaSystem(sigma=tuple(sigma))
-    reports = [r.to_dict() for r in verify_clifford_pairs(broken)]
-    assert reports == _dense_clifford_reports(broken)
+    reports = [r.to_dict() for r in verify_clifford_pairs(_gamma_from_dense(sigma))]
+    assert reports == _dense_clifford_reports(sigma)
     assert not reports[0]["passed"]
+    assert reports[0]["first_counterexample"] == "Sigma_1 Sigma_3^T + Sigma_3 Sigma_1^T"
+
+
+@pytest.mark.parametrize("fault", ["repeated-column", "sign-0", "sign-2"])
+def test_clifford_array_fault_injection_matches_dense(gammas, fault):
+    # faults the arrays can hold but no signed permutation has
+    perm, sign = gammas.perm.copy(), gammas.sign.copy()
+    if fault == "repeated-column":
+        perm[2, 0] = perm[2, 1]
+    else:
+        sign[2, 0] = int(fault[-1])
+    broken = GammaSystem(perm, sign)
+    reports = [r.to_dict() for r in verify_clifford_pairs(broken)]
+    assert reports == _dense_clifford_reports(broken.sigma)
+    assert reports[2]["first_counterexample"] == "Sigma_3"
     assert reports[0]["first_counterexample"] == "Sigma_1 Sigma_3^T + Sigma_3 Sigma_1^T"
 
 
@@ -305,4 +331,12 @@ def test_chirality_consistency_raises_when_terms_do_not_cancel(gammas, fault, er
         bad[[0, 1]] = bad[[1, 0]]
     sigma[2] = HalfIntMatrix(bad)
     with pytest.raises(error):
-        verify_chirality_consistency(GammaSystem(sigma=tuple(sigma)))
+        verify_chirality_consistency(_gamma_from_dense(sigma))
+
+
+def test_build_forms_no_dense_sigma():
+    # the blocks are held as permutation arrays; dense Sigma is formed only
+    # when read
+    pipe = build_pipeline()
+    assert "sigma" not in pipe.gammas.__dict__
+    assert len(pipe.gammas.sigma) == 16 and "sigma" in pipe.gammas.__dict__

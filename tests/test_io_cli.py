@@ -221,14 +221,15 @@ def test_cli_generate(tmp_path):
 
 
 def test_queries_load_no_scipy(tmp_path):
-    # the build and the query commands need numpy only: scipy is loaded
-    # by the verify suites past clifford and by rank alone
+    # the build and the query commands, rank included, need numpy only:
+    # scipy is loaded by the verify suites past clifford alone
     commands = [
         ["roots", "--out", str(tmp_path / "roots.json")],
         ["region", "--check", "0.05,0.06,0.07,0.08,0.09,0.10,0.11,0.5"],
         ["generate", "--out-dir", str(tmp_path / "gen")],
         ["element", "--y", "0.05,0.06,0.07,0.08,0.09,0.1,0.11,0.5",
          "--x-random", "--z-random", "--seed", "3", "--out", str(tmp_path / "elem")],
+        ["rank", "--seed", "3"],
     ]
     code = (
         "import json, sys\n"
@@ -242,5 +243,19 @@ def test_queries_load_no_scipy(tmp_path):
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     out = json.loads(r.stdout.strip().splitlines()[-1])
-    assert out["codes"] == [0, 0, 0, 0]
+    assert out["codes"] == [0, 0, 0, 0, 0]
     assert out["scipy"] == []
+
+
+def test_build_leaves_numpy_ma_unloaded():
+    # root-key membership is a sorted search: np.isin and np.unique on the
+    # wide keys would import numpy.ma
+    code = (
+        "import sys\n"
+        "from e8lie.pipeline import build_pipeline\n"
+        "build_pipeline()\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip().splitlines()[-1] == "False"

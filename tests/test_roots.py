@@ -245,3 +245,12 @@ def test_choose_positive_and_simple_on_reference_set():
     want_simple = [r for r in want_pos if not any(tuple(np.subtract(r, p)) in pos_set for p in want_pos)]
     assert [tuple(r) for r in positives.tolist()] == want_pos
     assert [tuple(r) for r in simples.tolist()] == want_simple
+
+
+def test_sorted_search_membership_matches_isin():
+    # keys below, inside and above the table, with repeats on both sides
+    rng = np.random.default_rng(0)
+    table = rng.integers(-50, 50, 40) * 9 ** 7
+    keys = rng.integers(-60, 60, (30, 7)) * 9 ** 7
+    assert np.array_equal(rt._isin(keys, table), np.isin(keys, table))
+    assert np.array_equal(rt._isin(keys, table[:, None]), np.isin(keys, table))
