@@ -3,7 +3,8 @@
 Provides the torus fundamental-domain predicates (both the nine root-form
 inequalities built from the delivered simple/highest roots and the solved
 chain form with its literal constants), uniform sampling of the region,
-a fast torus exponential through the root-plane decomposition, the ordered
+a fast torus exponential through the root-plane decomposition that
+`build_root_system` certifies (`RootSystem.q` and `.rates`), the ordered
 product chart of the subgroup factor, and the exact chart Jacobian with its
 rank.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DIM, NV, AdjointRep
-from .roots import RANK, RootSystem
+from .roots import PLANE_COLS, RANK, RootSystem
 
 PI = math.pi
 
@@ -148,57 +149,7 @@ def sample_region(seed_or_rng, region: TorusRegion, n: int | None = None) -> np.
 
 
 # ---------------------------------------------------------------------------
-# torus decomposition and exponentials
-
-# q columns 2p, 2p+1 (row p) carry torus plane p; fancy indices, so that
-# _rotate_rows reads copies of the rows it overwrites
-PLANE_COLS = np.arange(240).reshape(120, 2)
-
-
-@dataclass
-class TorusDecomposition:
-    """Orthogonal basis splitting the space into 120 rotation planes + Cartan.
-
-    Plane p sits in the q columns of row p of PLANE_COLS; column 240 + a is
-    the Cartan basis vector of torus axis a.  rates[p, a] is the true rotation rate of plane p under
-    torus axis a: row p is the plane's positive root times the scale.
-    """
-
-    q: np.ndarray                        # 248 x 248 orthogonal
-    rates: np.ndarray                    # 120 x 8 true rates
-
-
-def torus_decomposition(rs: RootSystem, rep: AdjointRep) -> TorusDecomposition:
-    q = np.zeros((DIM, DIM))
-    q[:, :240] = rs.plane_basis
-    q[list(rs.axis_flats), range(240, DIM)] = 1.0
-    rates = float(rs.scale) * rs.plane_roots.astype(np.float64) / 2.0
-    td = TorusDecomposition(q=q, rates=rates)
-    _validate_decomposition(td, rs, rep)
-    return td
-
-
-def _validate_decomposition(td: TorusDecomposition, rs: RootSystem, rep: AdjointRep):
-    # q orthogonal and C q = q B (so q^T C q = B) for each axis C, where
-    # column c2 of q B is rate * q[:, c1] and column c1 is -rate * q[:, c2];
-    # C q is one gather of the rows of q that the 240 entries of C read,
-    # added into the rows they write
-    q = td.q
-    err_orth = np.abs(q.T @ q - np.eye(DIM)).max()
-    if err_orth > 1e-12:
-        raise RuntimeError(f"decomposition basis not orthogonal: {err_orth:.2e}")
-    c1, c2 = PLANE_COLS.T
-    qb = np.zeros((DIM, DIM))
-    for a, (flat, sign) in enumerate(zip(rs.axis_flats, rs.axis_sign)):
-        rows, cols, vals = rep.entries(flat)
-        terms = (sign * vals / 2.0)[:, None] * q[cols]
-        cq = np.bincount((rows[:, None] * DIM + np.arange(DIM)).ravel(), terms.ravel(), DIM * DIM)
-        qb[:, c2] = q[:, c1] * td.rates[:, a]
-        qb[:, c1] = -q[:, c2] * td.rates[:, a]
-        err = np.abs(cq.reshape(DIM, DIM) - qb).max()
-        if err > 1e-10:
-            raise RuntimeError(f"block validation failed for axis {a}: {err:.2e}")
-
+# torus and subgroup exponentials
 
 def _rotate_rows(g: np.ndarray, i1, i2, theta) -> None:
     """g <- exp(A) @ g in place, where A is theta[p] at (i1[p], i2[p]),
@@ -211,12 +162,12 @@ def _rotate_rows(g: np.ndarray, i1, i2, theta) -> None:
     g[i2] = -st * a1 + ct * a2
 
 
-def torus_element(y, td: TorusDecomposition) -> np.ndarray:
+def torus_element(y, rs: RootSystem) -> np.ndarray:
     """exp(sum_a y_a C'_a) through plane rotations; exactly orthogonal blocks."""
-    theta = td.rates @ np.asarray(y, dtype=np.float64)
-    w = td.q.T.copy()
+    theta = rs.rates @ np.asarray(y, dtype=np.float64)
+    w = rs.q.T.copy()
     _rotate_rows(w, *PLANE_COLS.T, theta)
-    return td.q @ w
+    return rs.q @ w
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +202,7 @@ class ChartEngine:
     """
 
     def __init__(self, rep: AdjointRep, rs: RootSystem):
-        self.rep = rep
         self.root_system = rs
-        self.td = torus_decomposition(rs, rep)
         self._gen_planes = []
         for k in range(NV):
             rows, cols, vals = rep.entries(k)
@@ -281,7 +230,7 @@ class ChartEngine:
         return self._subgroup_sweep(x, np.eye(DIM))
 
     def torus_element(self, y) -> np.ndarray:
-        return torus_element(y, self.td)
+        return torus_element(y, self.root_system)
 
     def chart(self, p: EulerPoint) -> np.ndarray:
         """S(x) @ exp(sum y_a C'_a) @ S(z)."""

@@ -4,7 +4,7 @@ Subcommands: generate (gamma/spinor bundles), verify (relation suites with
 JSON report), roots (root-system JSON), region (membership / sampling /
 equivalence report), element (chart evaluation bundle), rank (chart rank
 diagnostic).  Exit code 0 on success or all-pass, 1 on verification
-failure, 2 on usage errors.
+failure, 2 on usage errors, an unwritable output path among them.
 
 Every run echoes its configuration as one JSON line on stderr.  The seed
 defaults to 0.  --threads is echoed in that line; it does not yet cap BLAS
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -61,15 +62,21 @@ def _y_arg(text: str) -> tuple[float, ...]:
     return vals
 
 
-def _count_arg(text: str) -> int:
-    """argparse type: a non-negative integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return n
+def _non_negative(cast, what: str):
+    """argparse type: a finite non-negative number read by cast."""
+    def parse(text: str):
+        try:
+            v = cast(text)
+        except ValueError:
+            v = -1
+        if not 0 <= v < math.inf:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return v
+    return parse
+
+
+_count_arg = _non_negative(int, "a non-negative integer")
+_spread_arg = _non_negative(float, "a finite non-negative number")
 
 
 def cmd_generate(args) -> int:
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="numerical chart rank at a seeded generic point")
     p.add_argument("--step", type=float, default=1e-5,
                    help="unused (the Jacobian is exact); accepted and echoed")
-    p.add_argument("--spread", type=float, default=0.6)
+    p.add_argument("--spread", type=_spread_arg, default=0.6)
     common(p)
     p.set_defaults(func=cmd_rank)
 
@@ -309,6 +316,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 1
+    except OSError as e:  # an unreadable or unwritable path: a usage error
+        print(f"e8lie: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

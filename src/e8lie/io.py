@@ -88,37 +88,46 @@ def write_bundle(path_base: str, name: str, matrix, fmt: str = "bin") -> str:
     return header_path
 
 
+# what each header field must satisfy before any of them is used
+_HEADER_FIELDS = {
+    "format_version": lambda v: v == FORMAT_VERSION,
+    "layout": lambda v: v == "row-major",
+    "encoding": lambda v: v in ("doubled-int", "f64"),
+    "name": lambda v: isinstance(v, str),
+    "payload": lambda v: isinstance(v, str),
+    "rows": lambda v: type(v) is int and v >= 0,
+    "cols": lambda v: type(v) is int and v >= 0,
+}
+
+
 def read_bundle(header_path: str):
     """Read a bundle back; returns (name, HalfIntMatrix or float ndarray)."""
     with open(header_path, "r", encoding="utf-8") as f:
         header = json.load(f)
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {header.get('format_version')!r}")
-    if header.get("layout") != "row-major":
-        raise ValueError("only row-major payloads are supported")
-    rows, cols = int(header["rows"]), int(header["cols"])
+    if not isinstance(header, dict):
+        raise ValueError("bundle header must be a JSON object")
+    for key, ok in _HEADER_FIELDS.items():
+        if not ok(header.get(key)):
+            raise ValueError(f"invalid bundle header field {key!r}: {header.get(key)!r}")
+    rows, cols = header["rows"], header["cols"]
     base = os.path.realpath(os.path.dirname(os.path.abspath(header_path)))
     payload_path = os.path.realpath(os.path.join(base, header["payload"]))
     if os.path.dirname(payload_path) != base:
         raise ValueError("payload must be a file in the header's directory")
-    encoding = header["encoding"]
-    if encoding == "doubled-int":
-        if payload_path.endswith(".csv"):
-            with open(payload_path, "r", encoding="ascii") as f:
-                data = [[int(v) for v in line.split(",")] for line in f.read().split()]
-            arr = np.array(data, dtype=np.int64)
-        else:
-            arr = _read_binary(payload_path, "<i4", rows, cols).astype(np.int64)
-        if arr.shape != (rows, cols):
-            raise ValueError("payload size does not match header dimensions")
-        return header["name"], HalfIntMatrix(arr)
-    if encoding == "f64":
-        arr = _read_binary(payload_path, "<f8", rows, cols).astype(np.float64)
-        return header["name"], arr
-    raise ValueError(f"unknown encoding {encoding!r}")
+    if header["encoding"] == "f64":
+        return header["name"], _read_binary(payload_path, "<f8", rows, cols).astype(np.float64)
+    if payload_path.endswith(".csv"):
+        with open(payload_path, "r", encoding="ascii") as f:
+            data = [[int(v) for v in line.split(",")] for line in f.read().split()]
+        arr = np.array(data, dtype=np.int64)
+    else:
+        arr = _read_binary(payload_path, "<i4", rows, cols).astype(np.int64)
+    if arr.shape != (rows, cols):
+        raise ValueError("payload size does not match header dimensions")
+    return header["name"], HalfIntMatrix(arr)
 
 
 def _read_binary(path: str, dtype: str, rows: int, cols: int) -> np.ndarray:
-    if rows < 0 or cols < 0 or os.path.getsize(path) != rows * cols * np.dtype(dtype).itemsize:
+    if os.path.getsize(path) != rows * cols * np.dtype(dtype).itemsize:
         raise ValueError("payload size does not match header dimensions")
     return np.fromfile(path, dtype=dtype).reshape(rows, cols)

@@ -1,13 +1,13 @@
 """Root system of the algebra relative to the spinor Cartan set.
 
 A generic combination A(t) = sum_a t_a ad(C_a) is diagonalized in floating
-point (via the Hermitian matrix i*A), the 8 Rayleigh rates of every root
-vector are snapped to exact half-integers after a small rational scale
-search, and everything downstream is derived in exact integer arithmetic
-from one table: the 240 x 8 int64 array of snapped doubled roots.  Each row
-is also one integer key (base 9), so positivity, simple roots, the highest
-root and its marks, the Cartan matrix and root membership tests are array
-steps on that table.
+point (via the Hermitian matrix i*A) to find the 120 torus planes.  One
+sparse apply of each Cartan axis gives the 8 rates of every plane, snapped
+to exact half-integers after a small rational scale search, and everything
+downstream is derived in exact integer arithmetic from one table: the
+240 x 8 int64 array of snapped doubled roots.  Each row is also one integer
+key (base 9), so positivity, simple roots, the highest root and its marks,
+the Cartan matrix and root membership tests are array steps on that table.
 
 One gauge: the snapped root set is always the standard E8 pattern, 112
 integer roots with two entries +-1 plus 128 all-half-integer roots of a
@@ -23,11 +23,12 @@ conventional rows
 with marks (2, 3, 4, 6, 5, 4, 3, 2).  The same step gives the torus-axis
 map: torus axis a is axis_sign[a] * ad(basis element axis_flats[a]).
 
-The 120 torus planes are two arrays: a 248 x 240 orthonormal basis (plane p
-in columns 2p, 2p+1) and a 120 x 8 table of their roots.  Each plane is
-oriented by its positive root, so the root rows are exactly the positive
-roots and, for y inside the Euler range, every plane angle <root, y> lies
-in (0, pi).
+The torus decomposition is q, 248 x 248 (plane p in columns 2p, 2p+1,
+torus axis a in column 240 + a), with the 120 x 8 plane roots and rates.
+Each plane is oriented by its positive root, so the root rows are exactly
+the positive roots and, for y inside the Euler range, every plane angle
+<root, y> lies in (0, pi).  The same sparse apply certifies q on every
+build: q is orthogonal and C_a q = q B_a, B_a the plane rotation rates.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class RootSystem:
     axis_sign: np.ndarray             # 8, sign of each torus axis generator
     conventional_labeling: bool       # delivered rows match the conventional ones
     literal_raw_match: bool           # raw snapped set already contained them
-    plane_basis: np.ndarray           # 248 x 240, plane p in columns 2p, 2p+1
+    q: np.ndarray                     # 248 x 248 orthogonal: planes, then torus axes
+    rates: np.ndarray                 # 120 x 8 true rates, scale * plane_roots / 2
     plane_roots: np.ndarray           # 120 x 8, positive
     snap_residual: float
 
@@ -96,31 +98,47 @@ def _isin(keys, table) -> np.ndarray:
     return table[np.searchsorted(table, keys).clip(max=table.size - 1)] == keys
 
 
+# q columns 2p, 2p+1 (row p) carry torus plane p; fancy indices, so that a
+# row mix reads copies of the rows it overwrites
+PLANE_COLS = np.arange(240).reshape(120, 2)
+
+
 def _deterministic_t(retry: int) -> np.ndarray:
     # exactly representable rationals, shifted deterministically on retry
     return np.array([1.0 / (100 + 7 * (a + 1) + 97 * retry) for a in range(RANK)])
 
 
-def _eigen_rates(cartan, tol, retry):
-    """Joint eigenvalue rates of the Cartan action for one generic t.
-
-    cartan holds the 8 Cartan generators (true values) as dense matrices.
-    """
+def _planes(rep: AdjointRep, cartan: CartanSet, retry: int):
+    """(q, cq, rates) for the retry's generic t, or None on an eigenvalue
+    collision.  Plane p of q is (sqrt2 Re v, sqrt2 Im v) for the positive-
+    rate eigenvector v of i*A(t); cq[a] = C_a q and rates[p, a] =
+    q_2p . (C_a q)_2p+1 for raw axis a."""
     t = _deterministic_t(retry)
-    a = sum(t[i] * cartan[i] for i in range(RANK))
+    a = sum(t[i] * (rep.dense(f) / 2.0) for i, f in enumerate(cartan.flats))
     evals, evecs = np.linalg.eigh(1j * a)
     kernel = np.abs(evals) < 1e-8
     if int(kernel.sum()) != RANK:
         raise RootExtractionError(f"kernel multiplicity {int(kernel.sum())} != 8 for t retry {retry}")
-    nz = np.flatnonzero(~kernel)
-    lam = evals[nz]
-    gaps = np.diff(np.sort(lam))
-    if np.min(np.abs(gaps)) < 1e-8:
-        return None  # eigenvalue collision: caller retries with the next t
-    # Rayleigh rates Im(v^H C_i v) of every eigenvector, one product per C_i
-    v = evecs[:, nz]
-    rates = np.stack([np.imag(np.sum(v.conj() * (c @ v), axis=0)) for c in cartan], axis=1)
-    return rates, v, lam
+    if np.min(np.abs(np.diff(np.sort(evals[~kernel])))) < 1e-8:
+        return None
+    pos = ~kernel & (evals > 0)
+    if int(pos.sum()) != 120:
+        raise RootExtractionError("expected 120 positive-rate eigenplanes")
+    v, (c1, c2) = evecs[:, pos], PLANE_COLS.T
+    q = np.zeros((DIM, DIM))
+    q[:, c1] = np.sqrt(2.0) * np.real(v)
+    q[:, c2] = np.sqrt(2.0) * np.imag(v)
+    q[list(cartan.flats[::-1]), range(240, DIM)] = 1.0  # the delivered axes
+    # C_a q is one gather of the rows of q that the entries of C_a read,
+    # added into the rows they write
+    cq = np.empty((RANK, DIM * DIM))
+    for i, f in enumerate(cartan.flats):
+        rows, cols, vals = rep.entries(f)
+        terms = (vals / 2.0)[:, None] * q[cols]
+        cq[i] = np.bincount((rows[:, None] * DIM + np.arange(DIM)).ravel(), terms.ravel(), DIM * DIM)
+    cq = cq.reshape(RANK, DIM, DIM)
+    rates = np.einsum("ip,aip->pa", q[:, c1], cq[:, :, c2])
+    return q, cq, rates
 
 
 def _snap(rates: np.ndarray, tol: float):
@@ -139,23 +157,21 @@ def _snap(rates: np.ndarray, tol: float):
     raise RootExtractionError("no admissible snapping scale in {1/4,1/2,1,2,4}")
 
 
-def _extract(c: CartanSet, rep: AdjointRep, tol: float):
-    cartan = [rep.dense(f) / 2.0 for f in c.flats]
-    for retry in range(8):
-        got = _eigen_rates(cartan, tol, retry)
-        if got is not None:
-            break
-    else:
-        raise RootExtractionError("no non-degenerate generic t found")
-    rates, vecs, lam = got
-    scale, dbl, resid = _snap(rates, tol)
-    keys = _key(dbl)
-    distinct = 1 + np.count_nonzero(np.diff(np.sort(keys)))
-    if distinct != 240:
-        raise RootExtractionError(f"expected 240 distinct roots, got {distinct}")
-    if not _isin(_key(-dbl), keys).all():
-        raise RootExtractionError("root set not closed under negation")
-    return {"dbl": dbl, "scale": scale, "vecs": vecs, "lam": lam, "resid": resid}
+def _certify(q: np.ndarray, cq: np.ndarray, axis_sign: np.ndarray, rates: np.ndarray) -> None:
+    """q orthogonal and C_a q = q B_a for each torus axis a, where C_a q is
+    axis_sign[a] cq[a], column 2p+1 of q B_a is rates[p, a] q_2p and column
+    2p is -rates[p, a] q_2p+1 (zero on the Cartan columns)."""
+    err_orth = np.abs(q.T @ q - np.eye(DIM)).max()
+    if err_orth > 1e-12:
+        raise RootExtractionError(f"decomposition basis not orthogonal: {err_orth:.2e}")
+    c1, c2 = PLANE_COLS.T
+    qb = np.zeros((DIM, DIM))
+    for a in range(RANK):
+        qb[:, c2] = q[:, c1] * rates[:, a]
+        qb[:, c1] = -q[:, c2] * rates[:, a]
+        err = np.abs(axis_sign[a] * cq[a] - qb).max()
+        if err > 1e-10:
+            raise RootExtractionError(f"block validation failed for axis {a}: {err:.2e}")
 
 
 def choose_positive_and_simple(roots):
@@ -252,9 +268,23 @@ def weyl_reflection_closure(roots) -> bool:
 
 
 def build_root_system(rep: AdjointRep, cartan: CartanSet, tol: float = 1e-9) -> RootSystem:
-    """Full pipeline: snap, orient, choose simples, align, certify."""
-    data = _extract(cartan, rep, tol)
-    dbl = data["dbl"]
+    """Full pipeline: planes, snap, orient, choose simples, align, certify."""
+    for retry in range(8):
+        got = _planes(rep, cartan, retry)
+        if got is not None:
+            break
+    else:
+        raise RootExtractionError("no non-degenerate generic t found")
+    q, cq, raw_rates = got
+    scale, plane_dbl, resid = _snap(raw_rates, tol)
+    # the raw table in eigenvalue order: the conjugate planes, then the planes
+    dbl = np.r_[-plane_dbl[::-1], plane_dbl]
+    keys = _key(dbl)
+    distinct = 1 + np.count_nonzero(np.diff(np.sort(keys)))
+    if distinct != 240:
+        raise RootExtractionError(f"expected 240 distinct roots, got {distinct}")
+    if not _isin(_key(-dbl), keys).all():
+        raise RootExtractionError("root set not closed under negation")
 
     # parity normalization: flip the last axis if the half-integer class is odd
     half = (np.abs(dbl) == 1).all(axis=1)
@@ -280,22 +310,20 @@ def build_root_system(rep: AdjointRep, cartan: CartanSet, tol: float = 1e-9) -> 
         simples = simples[np.argsort(simples @ _POS_WEIGHTS)]
     high, marks = highest_root_and_marks(positives, simples)
 
-    # torus planes: the positive-rate member v of each conjugate eigenvector
-    # pair spans (sqrt2 Re v, sqrt2 Im v); where its root is negative, negate
-    # the second column and the root, so every plane carries its positive root
-    vecs, lam = data["vecs"], data["lam"]
-    pos_cols = np.flatnonzero(lam > 0)
-    if pos_cols.size != 120:
-        raise RootExtractionError("expected 120 positive-rate eigenplanes")
-    orient = np.where(roots[pos_cols] @ _POS_WEIGHTS > 0, 1, -1)
-    v = vecs[:, pos_cols]
-    plane_basis = np.empty((DIM, 240))
-    plane_basis[:, 0::2] = np.sqrt(2.0) * np.real(v)
-    plane_basis[:, 1::2] = orient * (np.sqrt(2.0) * np.imag(v))
+    # where a plane's root is negative, negate its second column and its
+    # root, so every plane carries its positive root; then certify q
+    # against the true rates on the torus axes of the delivered gauge
+    orient = np.where(roots[120:] @ _POS_WEIGHTS > 0, 1, -1)
+    c2 = PLANE_COLS[:, 1]
+    q[:, c2] *= orient
+    cq[:, :, c2] *= orient
+    plane_roots = orient[:, None] * roots[120:]
+    rates = float(scale) * plane_roots.astype(np.float64) / 2.0
+    _certify(q, cq[::-1], axis_sign, rates)
 
     return RootSystem(
         roots=roots,
-        scale=data["scale"],
+        scale=scale,
         positives=positives,
         simples=simples,
         highest=high,
@@ -305,7 +333,8 @@ def build_root_system(rep: AdjointRep, cartan: CartanSet, tol: float = 1e-9) -> 
         axis_sign=axis_sign,
         conventional_labeling=conventional_labeling,
         literal_raw_match=literal_raw_match,
-        plane_basis=plane_basis,
-        plane_roots=orient[:, None] * roots[pos_cols],
-        snap_residual=data["resid"],
+        q=q,
+        rates=rates,
+        plane_roots=plane_roots,
+        snap_residual=resid,
     )

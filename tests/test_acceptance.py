@@ -115,8 +115,10 @@ def test_criterion_07_roots(root_system):
 
 
 def test_criterion_07b_kernel_multiplicity(rep, cartan):
-    data = rt._extract(cartan, rep, tol=1e-9)
-    assert data["dbl"].shape == (240, 8)  # 248 - 240 = 8-dim kernel enforced inside
+    q, _, rates = rt._planes(rep, cartan, 0)  # 8-dim kernel enforced inside
+    _, planes, _ = rt._snap(rates, 1e-9)
+    assert q.shape == (248, 248) and planes.shape == (120, 8)
+    assert len({tuple(r) for r in np.r_[planes, -planes].tolist()}) == 240
     _ok(7, "joint kernel multiplicity exactly 8 (240 nonzero eigenvectors)")
 
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -143,21 +141,12 @@ def test_vertices_on_facets(region):
 # ---------------------------------------------------------------------------
 # torus decomposition and exponentials
 
-def test_decomposition_shapes(engine):
-    td = engine.td
-    assert td.q.shape == (248, 248)
-    assert td.rates.shape == (120, 8)
-    err = np.abs(td.q.T @ td.q - np.eye(248)).max()
+def test_decomposition_shapes(root_system):
+    q = root_system.q
+    assert q.shape == (248, 248)
+    assert root_system.rates.shape == (120, 8)
+    err = np.abs(q.T @ q - np.eye(248)).max()
     assert err < 1e-12
-
-
-def test_decomposition_check_rejects_a_turned_rate(engine, root_system, rep):
-    ch._validate_decomposition(engine.td, root_system, rep)
-    rates = engine.td.rates.copy()
-    rates[5] *= -1.0  # one plane's rate reversed, its basis columns kept
-    bad = dataclasses.replace(engine.td, rates=rates)
-    with pytest.raises(RuntimeError, match=r"block validation failed for axis \d"):
-        ch._validate_decomposition(bad, root_system, rep)
 
 
 def test_torus_identity(engine):
@@ -333,12 +322,12 @@ def test_chart_jacobian_matches_finite_differences(engine, region, rep):
         assert np.abs(fd - g @ _ad(rep, jac[:, j] / np.sqrt(60.0))).max() < 1e-8
 
 
-def test_chart_jacobian_kak_density(engine, region):
+def test_chart_jacobian_kak_density(engine, region, root_system):
     # KAK: at fixed x and z the y-dependence of det J is prod_p sin theta_p(y)
     p = ch.random_euler_point(3, region, 0.6)
     rest = []
     for y in sample_region(37, region, 5):
         _, logdet = np.linalg.slogdet(engine.chart_jacobian(EulerPoint(p.x, y, p.z)) / np.sqrt(60.0))
-        rest.append(logdet - np.log(np.abs(np.sin(engine.td.rates @ y))).sum())
+        rest.append(logdet - np.log(np.abs(np.sin(root_system.rates @ y))).sum())
     print("log|det J/sqrt(60)| - sum log|sin theta|:", " ".join(f"{v:.12f}" for v in rest))
     assert np.ptp(rest) < 1e-9

@@ -72,6 +72,33 @@ def test_bundle_payload_size_mismatch_rejected(tmp_path, matrix, extra):
         read_bundle(header)
 
 
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("payload", _DROP), ("encoding", _DROP), ("name", _DROP),
+        ("rows", None), ("rows", [3]), ("rows", 3.7), ("rows", "3"), ("rows", True), ("cols", -1),
+        ("payload", 5), ("name", 5), ("encoding", "f32"),
+        (None, ["m.bin"]),  # a JSON list as the whole header
+    ],
+)
+def test_bundle_malformed_header_rejected(tmp_path, key, value):
+    header = write_bundle(str(tmp_path / "m"), "m", HalfIntMatrix.identity(3))
+    meta = json.loads(open(header).read())
+    if key is None:
+        meta = value
+    elif value is _DROP:
+        del meta[key]
+    else:
+        meta[key] = value
+    with open(header, "w") as f:
+        json.dump(meta, f)
+    with pytest.raises(ValueError):
+        read_bundle(header)
+
+
 def test_no_temp_files_left(tmp_path):
     m = HalfIntMatrix.identity(4)
     write_bundle(str(tmp_path / "m"), "id", m)
@@ -108,6 +135,9 @@ def test_cli_usage_error_exit_2():
         ["element", "--y", "0,0,0,0,0,0,0,inf", "--out", "unused"],
         ["region", "--sample", "-1"],
         ["verify", "--samples", "-5"],
+        ["rank", "--spread", "nan"],
+        ["rank", "--spread", "-1"],
+        ["rank", "--spread", "inf"],
     ],
 )
 def test_cli_bad_argument_exit_2(args):
@@ -117,6 +147,22 @@ def test_cli_bad_argument_exit_2(args):
     assert r.stdout == ""
     last = r.stderr.strip().splitlines()[-1]
     assert last.startswith(f"e8lie {args[0]}: error: argument {args[1]}")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--suite", "clifford", "--out", "{missing}/v.json"],
+        ["element", "--y", "0,0,0,0,0,0,0,0", "--out", "{missing}/e"],
+        ["generate", "--out-dir", "{file}/g"],
+    ],
+)
+def test_cli_unwritable_output_exit_2(tmp_path, args):
+    (tmp_path / "file").write_text("")
+    r = _run_cli([a.format(missing=tmp_path / "missing", file=tmp_path / "file") for a in args])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.strip().splitlines()[-1].startswith("e8lie: error: ")
 
 
 def test_cli_region_check():

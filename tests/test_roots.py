@@ -88,10 +88,9 @@ def test_contains_conventional_root_literally(root_system):
 
 
 def test_scale_stable_across_t_vectors(rep, cartan):
-    mats = [rep.dense(f) / 2.0 for f in cartan.flats]
     scales = []
     for retry in range(3):
-        rates, _, _ = rt._eigen_rates(mats, 1e-9, retry)
+        _, _, rates = rt._planes(rep, cartan, retry)
         s, _, resid = rt._snap(rates, 1e-9)
         scales.append(s)
         assert resid < 1e-9
@@ -99,20 +98,26 @@ def test_scale_stable_across_t_vectors(rep, cartan):
 
 
 def test_eigen_rates_match_rayleigh_loop(rep, cartan):
-    # reference: one np.vdot Rayleigh quotient per eigenvector and generator
+    # reference: one np.vdot Rayleigh quotient per eigenvector v = (q_2p +
+    # i q_2p+1) / sqrt2 and dense generator
     mats = [rep.dense(f) / 2.0 for f in cartan.flats]
-    rates, vecs, _ = rt._eigen_rates(mats, 1e-9, 0)
+    q, _, rates = rt._planes(rep, cartan, 0)
+    vecs = (q[:, 0:240:2] + 1j * q[:, 1:240:2]) / np.sqrt(2.0)
     want = [[np.imag(np.vdot(v, m @ v)) for m in mats] for v in vecs.T]
     assert np.abs(rates - np.array(want)).max() < 1e-12
 
 
-def test_compute_roots_contract(rep, cartan):
-    # the raw-gauge snapped roots and their scale
-    data = rt._extract(cartan, rep, 1e-9)
-    roots, scale = data["dbl"], data["scale"]
+def test_compute_roots_contract(rep, cartan, root_system):
+    # the raw-gauge snapped roots and their scale, and the delivered gauge
+    # as parity signs on the raw axes, then the axes reversed
+    _, _, rates = rt._planes(rep, cartan, 0)
+    scale, planes, _ = rt._snap(rates, 1e-9)
+    roots = np.r_[planes, -planes]
     assert roots.dtype == np.int64
     assert len(set(_rows(roots))) == 240
     assert str(scale) == EXPECTED_SCALE
+    raw = root_system.roots[:, ::-1] * root_system.axis_sign[::-1]
+    assert set(_rows(raw)) == set(_rows(roots))
 
 
 def test_positives_and_simples(root_system):
@@ -188,7 +193,8 @@ def test_weyl_closure_and_strings(root_system):
 
 def test_planes_and_fixed(root_system):
     assert len(root_system.plane_roots) == 120
-    assert root_system.plane_basis.shape == (248, 240)
+    assert root_system.q.shape == (248, 248)
+    assert root_system.rates.shape == (120, 8)
     assert len(root_system.axis_flats) == 8
     plane_roots = {tuple(r) for r in root_system.plane_roots.tolist()}
     # one representative per +- pair
@@ -196,11 +202,40 @@ def test_planes_and_fixed(root_system):
         assert tuple(-x for x in r) not in plane_roots
 
 
-def test_planes_are_the_positive_roots(root_system, region, engine):
+def test_planes_are_the_positive_roots(root_system, region):
     assert set(_rows(root_system.plane_roots)) == set(_rows(root_system.positives))
+    assert np.array_equal(root_system.rates, float(root_system.scale) * root_system.plane_roots / 2.0)
     # so every plane angle <alpha, y> of an in-region y lies in (0, pi)
     ys = sample_region(2718, region, 1000)
-    assert (np.sin(ys @ engine.td.rates.T) > 0).all()
+    assert (np.sin(ys @ root_system.rates.T) > 0).all()
+
+
+def test_decomposition_check_rejects_a_turned_rate(rep, cartan, monkeypatch):
+    rt.build_root_system(rep, cartan)
+    certify = rt._certify
+
+    def turned(q, cq, axis_sign, rates):
+        rates = rates.copy()
+        rates[5] *= -1.0  # one plane's rate reversed, its basis columns kept
+        certify(q, cq, axis_sign, rates)
+
+    monkeypatch.setattr(rt, "_certify", turned)
+    with pytest.raises(rt.RootExtractionError, match=r"block validation failed for axis \d"):
+        rt.build_root_system(rep, cartan)
+
+
+def test_build_rejects_a_negated_plane_column(rep, cartan, monkeypatch):
+    planes = rt._planes
+
+    def negated(*args):
+        q, cq, rates = planes(*args)
+        q[:, 10] *= -1.0  # plane 5's first column and its image, rates kept
+        cq[:, :, 10] *= -1.0
+        return q, cq, rates
+
+    monkeypatch.setattr(rt, "_planes", negated)
+    with pytest.raises(rt.RootExtractionError, match=r"block validation failed for axis \d"):
+        rt.build_root_system(rep, cartan)
 
 
 def test_root_validation():
