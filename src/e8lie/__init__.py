@@ -11,14 +11,3 @@ its fundamental-domain torus inequalities.
 __version__ = "0.1.0"
 
 FORMAT_VERSION = "1"
-
-from .halfint import HalfIntMatrix, commutator, mat_mul, trace_pairing
-
-__all__ = [
-    "HalfIntMatrix",
-    "mat_mul",
-    "commutator",
-    "trace_pairing",
-    "FORMAT_VERSION",
-    "__version__",
-]

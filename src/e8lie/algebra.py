@@ -57,6 +57,7 @@ N_VECTOR = 16
 NV = 120
 NS = 128
 DIM = 248
+PRIME = 1_000_003  # every exact rank is taken over GF(PRIME)
 
 VECTOR_PAIRS = tuple(
     (i, j) for i in range(1, N_VECTOR + 1) for j in range(i + 1, N_VECTOR + 1)
@@ -578,13 +579,13 @@ def no_ninth_commuting_spinor(t: StructureTensor, cartan: CartanSet) -> bool:
     return not _spinor_commuting(t)[np.array(cartan.alphas) - 1].all(axis=0).any()
 
 
-def modp_rank(mat: np.ndarray, p: int = 1_000_003) -> int:
-    """Rank of an integer matrix over GF(p) by row elimination.
+def modp_rank(mat: np.ndarray) -> int:
+    """Rank of an integer matrix over GF(PRIME) by row elimination.
 
-    For an integer matrix, rank over Q >= rank over GF(p); attaining the
-    maximum possible rank mod p therefore certifies the exact rank.
+    For an integer matrix, rank over Q >= rank over GF(PRIME); attaining the
+    maximum possible rank mod PRIME therefore certifies the exact rank.
     """
-    a = np.ascontiguousarray(mat % p, dtype=np.int64)
+    a = np.ascontiguousarray(mat % PRIME, dtype=np.int64)
     rows, cols = a.shape
     r = 0
     for c in range(cols):
@@ -596,16 +597,16 @@ def modp_rank(mat: np.ndarray, p: int = 1_000_003) -> int:
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
+        inv = pow(int(a[r, c]), PRIME - 2, PRIME)
+        a[r] = (a[r] * inv) % PRIME
         below = np.flatnonzero(a[r + 1:, c]) + r + 1
         if below.size:
-            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
+            a[below] = (a[below] - np.outer(a[below, c], a[r])) % PRIME
         r += 1
     return r
 
 
-def adjoint_rank(rep: AdjointRep, p: int = 1_000_003) -> int:
+def adjoint_rank(rep: AdjointRep) -> int:
     """Exact rank of the 248 x 61504 flattened adjoint system F.
 
     Over the rationals rank(F F^T) = rank(F), and a rank over GF(p) is at
@@ -613,10 +614,10 @@ def adjoint_rank(rep: AdjointRep, p: int = 1_000_003) -> int:
     matrix F F^T certifies rank 248.
     """
     flat = _vec_rows(rep)
-    return modp_rank((flat @ flat.T).toarray(), p)
+    return modp_rank((flat @ flat.T).toarray())
 
 
-def centralizer_dimension(rep: AdjointRep, cartan: CartanSet, p: int = 1_000_003) -> int:
+def centralizer_dimension(rep: AdjointRep, cartan: CartanSet) -> int:
     """Exact dimension of the centralizer of the Cartan set in the algebra.
 
     The stacked commutator maps X -> [C_a, X] give a 1984 x 248 integer
@@ -628,5 +629,4 @@ def centralizer_dimension(rep: AdjointRep, cartan: CartanSet, p: int = 1_000_003
     for f in cartan.flats:
         if np.any(dense[:, f]):
             raise RuntimeError("cartan member does not commute with the set")
-    rank = modp_rank(dense, p)
-    return DIM - rank
+    return DIM - modp_rank(dense)

@@ -132,7 +132,7 @@ def sample_region(seed_or_rng, region: TorusRegion, n: int | None = None) -> np.
     the simplex fills ~1e-8 of the box, so any practical rejection budget
     would essentially always be exhausted.)
     """
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)  # a Generator passes through
     verts = region_vertices(region)
     m = 1 if n is None else int(n)
     out = np.empty((m, 8))

@@ -7,8 +7,8 @@ diagnostic).  Exit code 0 on success or all-pass, 1 on verification
 failure, 2 on usage errors, an unwritable output path among them.
 
 Every run echoes its configuration as one JSON line on stderr.  The seed
-defaults to 0.  --threads is echoed in that line; it does not yet cap BLAS
-threading (BLAS is loaded before the option is read).  The build and the
+defaults to 0.  --threads N caps BLAS at N threads: it is read before
+anything loads numpy, so BLAS starts with the cap.  The build and the
 queries need numpy only.  verify builds only what its suites read.  The
 gamma blocks and both so(16) spinor families are checked on their
 permutation arrays, so `verify --suite clifford` needs numpy only; the
@@ -23,8 +23,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import FORMAT_VERSION, __version__
 
@@ -57,7 +55,7 @@ def _y_arg(text: str) -> tuple[float, ...]:
         vals = tuple(float(v) for v in text.split(","))
     except ValueError:
         vals = ()
-    if len(vals) != 8 or not np.isfinite(vals).all():
+    if len(vals) != 8 or not all(map(math.isfinite, vals)):
         raise argparse.ArgumentTypeError(f"expected 8 finite comma-separated numbers, got {text!r}")
     return vals
 
@@ -167,6 +165,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_region(args) -> int:
+    import numpy as np
+
     from . import chart as ch
     from .pipeline import build_pipeline
 
@@ -198,6 +198,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_element(args) -> int:
+    import numpy as np
+
     from . import chart as ch
     from .io import write_bundle
     from .pipeline import build_pipeline
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             default=default_threads,
-            help="echoed in the config line; does not yet cap BLAS threads "
+            help="cap BLAS at this many threads, or auto "
             "(env override: E8LIE_THREADS)",
         )
         p.add_argument("--out", default=None, help="write the JSON payload here")

@@ -35,12 +35,8 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def write_json(path: str, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    atomic_write_bytes(path, (json.dumps(obj, indent=2) + "\n").encode("utf-8"))
 
 
 def write_bundle(path_base: str, name: str, matrix, fmt: str = "bin") -> str:

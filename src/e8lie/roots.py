@@ -103,24 +103,23 @@ def _isin(keys, table) -> np.ndarray:
 PLANE_COLS = np.arange(240).reshape(120, 2)
 
 
-def _deterministic_t(retry: int) -> np.ndarray:
-    # exactly representable rationals, shifted deterministically on retry
-    return np.array([1.0 / (100 + 7 * (a + 1) + 97 * retry) for a in range(RANK)])
+# the generic direction of A(t): its 240 nonzero eigenvalues are distinct
+GENERIC_T = np.array([1 / (107 + 7 * a) for a in range(RANK)])
+# bound on the distance of every snapped rate from its half-integer
+SNAP_TOL = 1e-9
 
 
-def _planes(rep: AdjointRep, cartan: CartanSet, retry: int):
-    """(q, cq, rates) for the retry's generic t, or None on an eigenvalue
-    collision.  Plane p of q is (sqrt2 Re v, sqrt2 Im v) for the positive-
-    rate eigenvector v of i*A(t); cq[a] = C_a q and rates[p, a] =
-    q_2p . (C_a q)_2p+1 for raw axis a."""
-    t = _deterministic_t(retry)
+def _planes(rep: AdjointRep, cartan: CartanSet, t: np.ndarray):
+    """(q, cq, rates) for the direction t.  Plane p of q is (sqrt2 Re v,
+    sqrt2 Im v) for the positive-rate eigenvector v of i*A(t); cq[a] = C_a q
+    and rates[p, a] = q_2p . (C_a q)_2p+1 for raw axis a."""
     a = sum(t[i] * (rep.dense(f) / 2.0) for i, f in enumerate(cartan.flats))
     evals, evecs = np.linalg.eigh(1j * a)
     kernel = np.abs(evals) < 1e-8
     if int(kernel.sum()) != RANK:
-        raise RootExtractionError(f"kernel multiplicity {int(kernel.sum())} != 8 for t retry {retry}")
+        raise RootExtractionError(f"kernel multiplicity {int(kernel.sum())} != 8")
     if np.min(np.abs(np.diff(np.sort(evals[~kernel])))) < 1e-8:
-        return None
+        raise RootExtractionError("two plane rates of A(t) coincide")
     pos = ~kernel & (evals > 0)
     if int(pos.sum()) != 120:
         raise RootExtractionError("expected 120 positive-rate eigenplanes")
@@ -141,10 +140,10 @@ def _planes(rep: AdjointRep, cartan: CartanSet, retry: int):
     return q, cq, rates
 
 
-def _snap(rates: np.ndarray, tol: float):
+def _snap(rates: np.ndarray):
     """Smallest admissible scale from {1/4, 1/2, 1, 2, 4} and snapped coords.
 
-    Admissibility requires both a snap residual below tol and components in
+    Admissibility requires both a snap residual below SNAP_TOL and components in
     {0, +-1/2, +-1}; without the component bound the smallest scale would
     snap everything onto even integers and break the root pattern.
     """
@@ -152,7 +151,7 @@ def _snap(rates: np.ndarray, tol: float):
         s = num / den
         dbl = np.rint(2.0 * rates / s)
         resid = float(np.abs(rates / s - dbl / 2.0).max())
-        if resid < tol and np.isin(dbl, (-2, -1, 0, 1, 2)).all():
+        if resid < SNAP_TOL and np.isin(dbl, (-2, -1, 0, 1, 2)).all():
             return Fraction(num, den), dbl.astype(np.int64), resid
     raise RootExtractionError("no admissible snapping scale in {1/4,1/2,1,2,4}")
 
@@ -267,24 +266,16 @@ def weyl_reflection_closure(roots) -> bool:
     return bool((np.abs(reflected) <= 2).all() and _isin(_key(reflected), _key(arr)).all())
 
 
-def build_root_system(rep: AdjointRep, cartan: CartanSet, tol: float = 1e-9) -> RootSystem:
+def build_root_system(rep: AdjointRep, cartan: CartanSet) -> RootSystem:
     """Full pipeline: planes, snap, orient, choose simples, align, certify."""
-    for retry in range(8):
-        got = _planes(rep, cartan, retry)
-        if got is not None:
-            break
-    else:
-        raise RootExtractionError("no non-degenerate generic t found")
-    q, cq, raw_rates = got
-    scale, plane_dbl, resid = _snap(raw_rates, tol)
-    # the raw table in eigenvalue order: the conjugate planes, then the planes
+    q, cq, raw_rates = _planes(rep, cartan, GENERIC_T)
+    scale, plane_dbl, resid = _snap(raw_rates)
+    # the raw table in eigenvalue order: the conjugate planes, then the
+    # planes, so closed under negation by construction
     dbl = np.r_[-plane_dbl[::-1], plane_dbl]
-    keys = _key(dbl)
-    distinct = 1 + np.count_nonzero(np.diff(np.sort(keys)))
+    distinct = 1 + np.count_nonzero(np.diff(np.sort(_key(dbl))))
     if distinct != 240:
         raise RootExtractionError(f"expected 240 distinct roots, got {distinct}")
-    if not _isin(_key(-dbl), keys).all():
-        raise RootExtractionError("root set not closed under negation")
 
     # parity normalization: flip the last axis if the half-integer class is odd
     half = (np.abs(dbl) == 1).all(axis=1)

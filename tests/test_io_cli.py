@@ -305,3 +305,32 @@ def test_build_leaves_numpy_ma_unloaded():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_import_cli_loads_no_numpy():
+    # numpy, and with it BLAS, loads only after --threads is read
+    code = "import sys\nimport e8lie.cli\nprint('numpy' in sys.modules)\n"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the Linux thread count")
+def test_threads_flag_caps_blas():
+    # with no BLAS cap in the environment, --threads 1 alone leaves BLAS one
+    # thread, which a large product would otherwise spread over every core
+    code = (
+        "import os\n"
+        "from e8lie import cli\n"
+        "code = cli.main(['roots', '--out', os.devnull, '--threads', '1'])\n"
+        "import numpy as np\n"
+        "a = np.ones((500, 500))\n"
+        "a @ a\n"
+        "status = open('/proc/self/status').read().split('Threads:')[1].split()[0]\n"
+        "print(code, status)\n"
+    )
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "E8LIE_THREADS")}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip().splitlines()[-1] == "0 1"

@@ -89,19 +89,28 @@ def test_contains_conventional_root_literally(root_system):
 
 def test_scale_stable_across_t_vectors(rep, cartan):
     scales = []
-    for retry in range(3):
-        _, _, rates = rt._planes(rep, cartan, retry)
-        s, _, resid = rt._snap(rates, 1e-9)
+    for shift in range(3):
+        t = np.array([1.0 / (100 + 7 * (a + 1) + 97 * shift) for a in range(8)])
+        _, _, rates = rt._planes(rep, cartan, t)
+        s, _, resid = rt._snap(rates)
         scales.append(s)
         assert resid < 1e-9
     assert len(set(scales)) == 1
+
+
+def test_planes_reject_coinciding_rates(rep, cartan):
+    # t_0 = 0 keeps the kernel at 8 but lets two plane rates coincide
+    t = rt.GENERIC_T.copy()
+    t[0] = 0.0
+    with pytest.raises(rt.RootExtractionError, match="coincide"):
+        rt._planes(rep, cartan, t)
 
 
 def test_eigen_rates_match_rayleigh_loop(rep, cartan):
     # reference: one np.vdot Rayleigh quotient per eigenvector v = (q_2p +
     # i q_2p+1) / sqrt2 and dense generator
     mats = [rep.dense(f) / 2.0 for f in cartan.flats]
-    q, _, rates = rt._planes(rep, cartan, 0)
+    q, _, rates = rt._planes(rep, cartan, rt.GENERIC_T)
     vecs = (q[:, 0:240:2] + 1j * q[:, 1:240:2]) / np.sqrt(2.0)
     want = [[np.imag(np.vdot(v, m @ v)) for m in mats] for v in vecs.T]
     assert np.abs(rates - np.array(want)).max() < 1e-12
@@ -110,8 +119,8 @@ def test_eigen_rates_match_rayleigh_loop(rep, cartan):
 def test_compute_roots_contract(rep, cartan, root_system):
     # the raw-gauge snapped roots and their scale, and the delivered gauge
     # as parity signs on the raw axes, then the axes reversed
-    _, _, rates = rt._planes(rep, cartan, 0)
-    scale, planes, _ = rt._snap(rates, 1e-9)
+    _, _, rates = rt._planes(rep, cartan, rt.GENERIC_T)
+    scale, planes, _ = rt._snap(rates)
     roots = np.r_[planes, -planes]
     assert roots.dtype == np.int64
     assert len(set(_rows(roots))) == 240
@@ -248,7 +257,7 @@ def test_root_validation():
     rates = np.zeros((240, 8))
     rates[0, 0], rates[1, 1] = 2.0, 8.0
     with pytest.raises(rt.RootExtractionError, match="no admissible snapping scale"):
-        rt._snap(rates, 1e-9)
+        rt._snap(rates)
 
 
 def test_cartan_matrix_of_rejects_noninteger():
