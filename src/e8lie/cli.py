@@ -8,12 +8,13 @@ failure, 2 on usage errors, an unwritable output path among them.
 
 Every run echoes its configuration as one JSON line on stderr.  The seed
 defaults to 0.  --threads N caps BLAS at N threads: it is read before
-anything loads numpy, so BLAS starts with the cap.  The build and the
-queries need numpy only.  verify builds only what its suites read.  The
-gamma blocks and both so(16) spinor families are checked on their
-permutation arrays, so `verify --suite clifford` needs numpy only; the
-other suites also build the bracket table and run the exact sparse engine,
-which loads scipy.sparse.
+anything loads numpy, so BLAS starts with the cap; a caller that loaded
+numpy first gets a warning on stderr, since the cap then has no effect.
+The build and the queries need numpy only.  verify builds only what its
+suites read.  The gamma blocks and both so(16) spinor families are checked
+on their permutation arrays, so `verify --suite clifford` needs numpy
+only; the other suites also build the bracket table and run the exact
+sparse engine, which loads scipy.sparse.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 def _set_threads(threads: str) -> None:
     if threads != "auto":
+        # BLAS reads its thread count once, when numpy loads it
+        if "numpy" in sys.modules:
+            print("e8lie: warning: --threads has no effect: numpy was loaded before it was read",
+                  file=sys.stderr)
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(int(threads))
 

@@ -1,6 +1,19 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from e8lie.pipeline import build_pipeline
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def src_env() -> dict:
+    """os.environ with src first on PYTHONPATH, for the tests' subprocesses:
+    pytest's own pythonpath setting reaches only the test process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

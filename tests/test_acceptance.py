@@ -5,7 +5,6 @@ lines; every tolerance is pinned here.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -17,6 +16,7 @@ from e8lie import chart as ch
 from e8lie import roots as rt
 from e8lie.halfint import HalfIntMatrix
 
+from conftest import src_env
 from test_chart import expm_antisymmetric
 
 # archived regression values, computed once from the first complete run
@@ -201,7 +201,7 @@ def test_criterion_10_chart(engine, region):
 
 
 def _run_cli(args, threads=None):
-    env = dict(os.environ)
+    env = src_env()
     if threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = str(threads)

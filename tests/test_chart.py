@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -88,6 +91,74 @@ def test_equivalence_report(region):
     assert rep == rep2  # deterministic given the seed
 
 
+def one_shot_report(n: int, seed: int, region: ch.TorusRegion) -> dict:
+    """The equivalence report from one draw of all n points (oracle path)."""
+    rng = np.random.default_rng(seed)
+    hi = np.array([np.pi / 6] + [np.pi] * 7)
+    pad = 0.1 * hi
+    ys = rng.uniform(-pad, hi + pad, size=(n, 8))
+    a = in_region_roots_batch(ys, region)
+    b = in_region_solved_batch(ys)
+    agree = a == b
+    dis_idx = np.flatnonzero(~agree)
+    witnesses = [ys[i].tolist() for i in dis_idx[:100]]
+    cond = sample_region(rng, region, min(n, 100_000))
+    cond_chain = in_region_solved_batch(cond)
+    return {
+        "samples": int(n),
+        "seed": int(seed),
+        "agreements": int(agree.sum()),
+        "agreement_fraction": float(agree.sum() / n),
+        "both_true": int(np.logical_and(a, b).sum()),
+        "roots_only": int(np.logical_and(a, ~b).sum()),
+        "chain_only": int(np.logical_and(~a, b).sum()),
+        "region_conditioned_samples": int(cond.shape[0]),
+        "region_conditioned_chain_fraction": float(cond_chain.mean()),
+        "disagreement_witnesses": witnesses,
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [1, ch.BLOCK - 1, ch.BLOCK, ch.BLOCK + 1, 3 * ch.BLOCK + 5])
+def test_blocked_report_matches_one_shot(region, n, seed):
+    assert region_equivalence_report(n, seed, region) == one_shot_report(n, seed, region)
+
+
+def test_report_witness_cap_across_blocks(region, monkeypatch):
+    # the cube [0, pi)^8 as the root form: a quarter of the box lies in
+    # it and almost none in the chain region, so witnesses fill many blocks
+    cube = ch.TorusRegion(simple_rows=np.eye(8), highest_row=np.zeros(8), marks=region.marks)
+    monkeypatch.setattr(ch, "BLOCK", 7)
+    rep = region_equivalence_report(1000, 0, cube)
+    assert rep == one_shot_report(1000, 0, cube)
+    assert len(rep["disagreement_witnesses"]) == 100
+    assert rep["samples"] - rep["agreements"] > 2 * 100
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_report_needs_a_sample(region, n):
+    with pytest.raises(ValueError):
+        region_equivalence_report(n, 0, region)
+
+
+def _traced_peak_mb(f) -> float:
+    """Peak of the memory traced during f(), above what was traced before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        f()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_and_sampler_memory(region):
+    # the one-shot report held 141 MB at 1e6 points, the sampler 28 MB at 1e5
+    assert _traced_peak_mb(lambda: region_equivalence_report(1_000_000, 0, region)) <= 48.0
+    assert _traced_peak_mb(lambda: sample_region(1, region, 100_000)) <= 20.0
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -95,6 +166,20 @@ def test_sampler_deterministic(region):
     a = sample_region(42, region, 10)
     b = sample_region(42, region, 10)
     assert np.array_equal(a, b)
+
+
+# leading 16 hex digits of the sha256 of the output bytes, seeds 0, 1, 2
+SAMPLE_DIGESTS = {
+    1: ["0db9e64d2a372319", "ff48ee63f2f529c6", "55acc64dacb2622c"],
+    10: ["2e9a58847288323b", "b0fca1ca4c636a71", "8e4bcf9667790ddd"],
+    65_537: ["e26c8ed8ee1be3f6", "3843a1096bce587a", "8057eb3953b3c647"],
+}
+
+
+@pytest.mark.parametrize("n", sorted(SAMPLE_DIGESTS))
+def test_sampler_output_pinned(region, n):
+    digests = [hashlib.sha256(sample_region(seed, region, n).tobytes()).hexdigest()[:16] for seed in range(3)]
+    assert digests == SAMPLE_DIGESTS[n]
 
 
 def test_samples_inside_region(region):

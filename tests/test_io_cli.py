@@ -12,6 +12,8 @@ from e8lie import cli
 from e8lie.halfint import HalfIntMatrix
 from e8lie.io import read_bundle, write_bundle
 
+from conftest import src_env
+
 # the benchmark's pinned artifact digests (read only)
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -111,6 +113,7 @@ def _run_cli(args, **kw):
         [sys.executable, "-m", "e8lie", *args],
         capture_output=True,
         text=True,
+        env=src_env(),
         **kw,
     )
 
@@ -237,7 +240,7 @@ def test_verify_clifford_stays_small():
         "                or m in ('e8lie.roots', 'e8lie.chart'))\n"
         "print(json.dumps({'code': code, 'loaded': loaded}))\n"
     )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
     assert r.returncode == 0, r.stderr
     out = json.loads(r.stdout.strip().splitlines()[-1])
     assert out == {"code": 0, "loaded": []}
@@ -286,7 +289,7 @@ def test_queries_load_no_scipy(tmp_path):
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
     )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
     assert r.returncode == 0, r.stderr
     out = json.loads(r.stdout.strip().splitlines()[-1])
     assert out["codes"] == [0, 0, 0, 0, 0]
@@ -302,7 +305,7 @@ def test_build_leaves_numpy_ma_unloaded():
         "build_pipeline()\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip().splitlines()[-1] == "False"
 
@@ -310,7 +313,7 @@ def test_build_leaves_numpy_ma_unloaded():
 def test_import_cli_loads_no_numpy():
     # numpy, and with it BLAS, loads only after --threads is read
     code = "import sys\nimport e8lie.cli\nprint('numpy' in sys.modules)\n"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
 
@@ -329,8 +332,30 @@ def test_threads_flag_caps_blas():
         "status = open('/proc/self/status').read().split('Threads:')[1].split()[0]\n"
         "print(code, status)\n"
     )
-    env = {k: v for k, v in os.environ.items()
+    env = {k: v for k, v in src_env().items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "E8LIE_THREADS")}
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip().splitlines()[-1] == "0 1"
+
+
+THREADS_WARNING = "e8lie: warning: --threads has no effect: numpy was loaded before it was read"
+
+
+@pytest.mark.parametrize("numpy_first", [True, False])
+def test_threads_flag_warns_when_numpy_is_loaded(numpy_first):
+    # BLAS reads its thread count when numpy loads it, so a flag read later
+    # cannot act; the config line still echoes the flag
+    code = (
+        ("import numpy\n" if numpy_first else "")
+        + "import os\n"
+        "from e8lie import cli\n"
+        "print(cli.main(['roots', '--out', os.devnull, '--threads', '1']))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "0"
+    lines = r.stderr.splitlines()
+    assert (THREADS_WARNING in lines) == numpy_first
+    assert not any("warning" in line for line in lines if line != THREADS_WARNING)
+    assert json.loads(lines[-1])["config"]["threads"] == "1"
