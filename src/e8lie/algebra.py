@@ -24,15 +24,28 @@ off it by array operations.
 
 The so(16) rule exists once, as the tables of _so16_structure, which both
 the bracket table and the two so(16) spinor checks read; those checks
-compare the permutation arrays of the generators and need numpy only.  The
-defining relations and the Jacobi pair strata run through one exact sparse
-engine, _pair_failures, against the stored bracket table: each row a is
-one sparse step with a row operator, the right-hand side folded in, over
-the window of b its strata select; reports are ordered by flat index.
-The rep keeps one pair table per bracket table, which both suites share,
-so each pair runs at most once, and only with b > a: b < a is read off by
-antisymmetry.  Only this engine, the QQQ scan and the exact certificates
-load scipy.sparse.
+compare the permutation arrays of the generators and need numpy only.
+
+The defining relations and the Jacobi strata are checked exactly and
+exhaustively (but for the sampled QQQ report) on one of two paths.  With
+M_a the adjoint matrices and T the stored table, column g of
+Z_ab = [M_a, M_b] - sum_c T_a[c, b] M_c is -4 J(a, b, g), where
+J(a, b, g) = [[a, b], g] + [[b, g], a] + [[g, a], b] from the table, when
+M is cut from T.  The table stores each unordered pair once, so J is
+totally antisymmetric and vanishes when an index repeats.  So when the rep
+is the table's own adjoint (AdjointRep.build(t), rep.t is t), every
+relation and Jacobi pair stratum is read off one scan of J over the sorted
+triples a < b < g, each computed once and cached on the table
+(StructureTensor.jacobi_failures): a pair fails iff some triple containing
+it does.  Every other rep (given matrices, or a rep scored against another
+table) runs the exact sparse engine, _pair_failures, against the stored
+table: each row a is one sparse step with a row operator, the right-hand
+side folded in, over the window of b its strata select.  The rep keeps one
+pair table per bracket table, which both suites share, so each pair runs
+at most once, and only with b > a: b < a is read off by antisymmetry.  The
+QQQ reports read the spinor triples of the scan on both paths.  Reports
+are ordered by flat index.  Only the scan, the engine and the exact
+certificates load scipy.sparse.
 """
 
 from __future__ import annotations
@@ -156,6 +169,76 @@ class StructureTensor:
         cs, vs = self.c[lo:hi], self.v[lo:hi]
         return (cs, vs) if a < b else (cs, -vs)
 
+    @cached_property
+    def jacobi_failures(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only (pairs, spinor) failure grids of _jacobi_scan,
+        computed on first use: the table never changes."""
+        grids = _jacobi_scan(self)
+        for x in grids:
+            x.setflags(write=False)
+        return grids
+
+
+def _ragged(lo: np.ndarray, hi: np.ndarray):
+    """(j, k) listing, for each j, every k in lo[j] .. hi[j] - 1."""
+    n = hi - lo
+    return np.repeat(np.arange(len(n)), n), np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+
+
+def _jacobi_scan(t: StructureTensor) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive Jacobi check of the bracket table, once per sorted triple.
+
+    J(a, b, g) = [[a, b], g] + [[b, g], a] + [[g, a], b], from the stored
+    coefficients.  The table stores each unordered pair once, so its
+    bracket is exactly antisymmetric and J is totally antisymmetric: it
+    vanishes when an index repeats, and a triple fails iff its sorted form
+    a < b < g does.  For each a, the terms of every (b, g, d) go into one
+    sparse matrix with row b*248 + g and column d, which sums them exactly;
+    a nonempty row is a failing triple.  Returns pairs[a, b], symmetric,
+    True where some g has J(a, b, g) != 0, and spinor[al, be, ga] for
+    al < be, True where J(Q_al, Q_be, Q_ga) != 0 (0-based spinor
+    positions).
+    """
+    import scipy.sparse as sp
+    # w is the doubled coefficient of basis_z in [basis_x, basis_y], both
+    # orders, sorted by (x, y); the stored (a, b, c, v) sorted by (c, a)
+    xy = np.r_[t.a * DIM + t.b, t.b * DIM + t.a]
+    order = np.argsort(xy, kind="stable")
+    xy, z, w = xy[order], np.r_[t.c, t.c][order], np.r_[t.v, -t.v][order]
+    y = xy % DIM
+    ca = t.c * DIM + t.a
+    order = np.argsort(ca, kind="stable")
+    ca, sab, sv = ca[order], (t.a * DIM + t.b)[order], t.v[order]
+    pairs = np.zeros((DIM, DIM), dtype=bool)
+    spinor = np.zeros((NS, NS, NS), dtype=bool)
+    for a in range(DIM):
+        lo, up, hi = np.searchsorted(xy, [a * DIM, a * DIM + a + 1, a * DIM + DIM])
+        # [[a, y], y2] over the entries of [z, y2], y, y2 > a: the term
+        # [[a, b], g] at y < y2 = g, and minus the term [[g, a], b] at
+        # y2 = b < y; y2 = y is no triple and gets sign 0
+        ya, za, wa = y[up:hi], z[up:hi], w[up:hi]
+        j, k = _ragged(np.searchsorted(xy, za * DIM + a + 1), np.searchsorted(xy, za * DIM + DIM))
+        y1, y2 = ya[j], y[k]
+        rows = [np.minimum(y1, y2) * DIM + np.maximum(y1, y2)]
+        cols = [z[k]]
+        vals = [np.sign(y2 - y1) * wa[j] * w[k]]
+        # [[b, g], a] = -sum over the stored (b, g, y, v), b > a, of v [a, y]
+        ya, za, wa = y[lo:hi], z[lo:hi], w[lo:hi]
+        j, k = _ragged(np.searchsorted(ca, ya * DIM + a + 1), np.searchsorted(ca, ya * DIM + DIM))
+        rows.append(sab[k])
+        cols.append(za[j])
+        vals.append(-sv[k] * wa[j])
+        tot = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(DIM * DIM, DIM))
+        tot.sum_duplicates()
+        tot.eliminate_zeros()
+        b, g = np.divmod(np.flatnonzero(np.diff(tot.indptr)), DIM)
+        pairs[a, b] = pairs[a, g] = pairs[b, g] = True
+        if a >= NV:
+            al, be, ga = a - NV, b - NV, g - NV
+            spinor[al, be, ga] = spinor[al, ga, be] = spinor[be, ga, al] = True
+    return pairs | pairs.T, spinor
+
 
 def _ad_stack(t: StructureTensor):
     """The adjoint matrices stacked as one CSR matrix: row A*248 + C, column
@@ -171,12 +254,17 @@ class AdjointRep:
 
     build(t) keeps the bracket table t, which entries(A) and dense(A) read.
     mats, the 248 int64 CSR matrices of the exact engine, is built on first
-    access; AdjointRep(mats) takes a given list instead.  The matrices are
+    access, from t alone: the suites read a rep with rep.t is t off the
+    table's own Jacobi scan.  AdjointRep(mats) takes a given list instead
+    and has no table; passing both raises ValueError.  The matrices are
     never edited in place: pair_table(t) keeps the pair results checked
     against each bracket table t, and a changed matrix needs a new rep.
     """
 
     def __init__(self, mats=None, t: StructureTensor | None = None):
+        if mats is not None and t is not None:
+            raise ValueError("a rep takes matrices or a bracket table, not both: "
+                             "build(t) cuts its matrices from t")
         if mats is not None:
             self.mats = mats
         self.t = t
@@ -193,7 +281,8 @@ class AdjointRep:
 
     def pair_table(self, t: StructureTensor) -> tuple[np.ndarray, np.ndarray]:
         """The [248, 248] bool grids (done, fail) of the pairs (a, b), b > a,
-        checked so far against the bracket table t; kept while t lives."""
+        checked so far by the engine against the bracket table t; kept
+        while t lives."""
         return self._pair_tables.setdefault(t, np.zeros((2, DIM, DIM), dtype=bool))
 
     def entries(self, f: int):
@@ -271,7 +360,7 @@ def _pair_failures(mats, structure, rows, lo, hi) -> np.ndarray:
     return mask
 
 
-def _pair_suites(mats, structure, strata, label, table) -> list[SuiteReport]:
+def _pair_suites(mats, structure, strata, label, table, t0=None) -> list[SuiteReport]:
     """One SuiteReport per (name, select) stratum from one engine pass.
 
     select(a, b) marks the pairs of a stratum on broadcast index grids.
@@ -282,20 +371,18 @@ def _pair_suites(mats, structure, strata, label, table) -> list[SuiteReport]:
     gives Z_ba = -Z_ab, so the engine runs only the pairs b > a, not yet
     done, that some stratum or its mirror needs, each row over the window
     from the first to the last of them; (b, a) fails exactly when (a, b)
-    does, and (a, a) passes.  Failures are read off in flat-index order, so
-    the first counterexample is the first failing pair (a, b) with a, then
-    b, increasing; strata from one call share its elapsed time.
+    does, and (a, a) passes.  The reports are read as _strata_reports
+    reads them, timed from t0 (default: the start of this call).
     """
     import scipy.sparse as sp
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if t0 is None else t0
     n = len(mats)
     s = structure.tocoo()
     a, c = np.divmod(s.row, n)
     if (structure + sp.csr_matrix((s.data, (s.col * n + c, a)), shape=s.shape)).count_nonzero():
         raise ValueError("the stacked right-hand side is not block-antisymmetric")
     done, fail = table
-    a, b = np.arange(n)[:, None], np.arange(n)[None, :]
-    selects = [(name, select(a, b)) for name, select in strata]
+    selects = _selects(strata, n)
     need = np.zeros((n, n), dtype=bool)
     for _, sel in selects:
         need |= sel
@@ -303,17 +390,44 @@ def _pair_suites(mats, structure, strata, label, table) -> list[SuiteReport]:
     rows = np.flatnonzero(need.any(axis=1))
     if len(rows):
         lo, hi = need[rows].argmax(axis=1), n - need[rows, ::-1].argmax(axis=1)
+        b = np.arange(n)
         window = (b >= lo[:, None]) & (b < hi[:, None])
         fail[rows] |= _pair_failures(mats, structure, rows, lo, hi) & window
         done[rows] |= window
-    both = fail | fail.T
+    return _strata_reports(selects, fail | fail.T, label, t0)
+
+
+def _selects(strata, n: int) -> list:
+    """(name, [n, n] bool grid) of each (name, select) stratum."""
+    a, b = np.arange(n)[:, None], np.arange(n)[None, :]
+    return [(name, select(a, b)) for name, select in strata]
+
+
+def _strata_reports(selects, fail, label, t0) -> list[SuiteReport]:
+    """One SuiteReport per (name, grid) from the symmetric pair-failure grid
+    fail.  Failures are read off in flat-index order, so the first
+    counterexample is the first failing pair (a, b) with a, then b,
+    increasing; all share the time since t0."""
     elapsed = time.perf_counter() - t0
     reports = []
     for name, sel in selects:
-        bad = np.argwhere(both & sel)
+        bad = np.argwhere(fail & sel)
         first = label(*bad[0]) if len(bad) else None
         reports.append(SuiteReport(name, int(sel.sum()), len(bad), first, elapsed))
     return reports
+
+
+def _rep_pair_suites(rep: AdjointRep, t: StructureTensor, strata, label, t0) -> list[SuiteReport]:
+    """The pair strata of rep against t, timed from t0.
+
+    When rep is t's own adjoint (rep.t is t, so its matrices are cut from
+    t), column g of Z_ab is -4 J_t(a, b, g): the pair (a, b) fails iff the
+    table's Jacobi scan fails some triple containing it, and the grid is
+    read off t.jacobi_failures.  Every other rep runs through the engine.
+    """
+    if rep.t is not t:
+        return _pair_suites(rep.mats, _ad_stack(t), strata, label, rep.pair_table(t), t0)
+    return _strata_reports(_selects(strata, DIM), t.jacobi_failures[0], label, t0)
 
 
 _RELATION_STRATA = {
@@ -332,15 +446,21 @@ def verify_defining_relations(
     Strata: vector-vector (all 14400 ordered pairs), vector-spinor (all
     120 x 128 pairs), spinor-spinor (all 8128 unordered pairs).  Exact
     integer comparison; the first failing pair is reported by name.  The
-    right-hand sides are read from the stored table of t; pairs already in
-    rep.pair_table(t), which verify_jacobi shares, are not recomputed.
+    right-hand sides are read from the stored table of t.  When rep is t's
+    own adjoint (AdjointRep.build(t)), the relation for (A, B) is the
+    Jacobi identity of t on every triple (A, B, g), and the strata are read
+    off t's Jacobi scan, which verify_jacobi shares; its antisymmetry lets
+    the scan check each sorted triple once.  Any other rep runs the exact
+    engine, and pairs already in rep.pair_table(t), which verify_jacobi
+    shares, are not recomputed.  A call that runs the scan counts its time
+    in each of its reports.
     """
-    return _pair_suites(
-        rep.mats,
-        _ad_stack(t),
+    return _rep_pair_suites(
+        rep,
+        t,
         [(name, _RELATION_STRATA[name]) for name in ALL_RELATION_STRATA if name in strata],
         lambda a, b: f"[{flat_label(a)}, {flat_label(b)}]",
-        rep.pair_table(t),
+        time.perf_counter(),
     )
 
 
@@ -423,88 +543,53 @@ def verify_jacobi(
     seed: int = 0,
     full_spinor: bool = False,
 ) -> list[SuiteReport]:
-    """Jacobi identity checks.
+    """Jacobi identity checks, all exhaustive but the sampled QQQ report.
 
     The JJ* and JQ* strata (covering every triple with at least one vector
     generator in the first two slots, i.e. the exhaustive JJJ, JJQ and JQQ
     strata) use the pair reduction: [[X,Y],Z] + cyc = 0 for all Z is
-    equivalent to ad([X,Y]) = [ad X, ad Y] as 248x248 matrices, checked
-    exactly per pair in rep.pair_table(t), which the relation strata share:
-    after verify_defining_relations on the same rep and t they compute
-    nothing.
-    The QQQ stratum is always scanned exhaustively, all 8128 (alpha < beta)
-    pairs against all 128 gamma simultaneously; the sampled report (n
-    seeded triples) is read off the scan's failure table, and full_spinor
-    also reports the scan itself.
+    equivalent to ad([X,Y]) = [ad X, ad Y] as 248x248 matrices.  When rep
+    is t's own adjoint they are read off t's Jacobi scan, which
+    verify_defining_relations shares; every other rep runs the exact
+    engine per pair, kept in rep.pair_table(t), which the relation strata
+    also share.  The QQQ strata are always read off the scan of t: its
+    cyclic sum is totally antisymmetric, so a triple fails iff its sorted
+    form does and one with a repeated index passes.  The sampled report
+    checks n seeded triples, and full_spinor also reports every (alpha <
+    beta) pair against all 128 gamma.  A call that runs the scan counts
+    its time in each of its reports.
     """
-    import scipy.sparse as sp
-    reports = _pair_suites(
-        rep.mats,
-        _ad_stack(t),
+    t0 = time.perf_counter()
+    fail = t.jacobi_failures[1]
+    scan_s = time.perf_counter() - t0
+    reports = _rep_pair_suites(
+        rep,
+        t,
         [
             ("jacobi-JJ*-pairs", lambda a, b: (a < NV) & (b > a) & (b < NV)),
             ("jacobi-JQ*-pairs", _RELATION_STRATA["vector-spinor"]),
         ],
         lambda a, b: f"pair ({flat_label(a)}, {flat_label(b)})",
-        rep.pair_table(t),
+        t0,
     )
 
-    # per-entry tables read from the *stored* tensor coefficients, so a
-    # corrupted tensor fails these strata
-    jq = (t.a < NV) & (t.b >= NV)
-    tb = t.c[jq].reshape(NV, NS) - NV  # [J_k, Q_a] target spinor
-    tv = t.v[jq].reshape(NV, NS)  # and its doubled coefficient
-    qq = t.a >= NV
-    p, q, k, v = t.a[qq] - NV, t.b[qq] - NV, t.c[qq], t.v[qq]
-    gk = np.zeros((NS, NV), dtype=np.int64)  # partner of a in [Q_a, .] for J_k
-    fk = np.zeros((NS, NV), dtype=np.int64)  # and the stored doubled coefficient
-    gk[p, k], fk[p, k] = q, v
-    gk[q, k], fk[q, k] = p, -v
-
-    # exhaustive QQQ scan: fail[al, be, g] (al < be) marks a nonzero
-    # cyclic sum of [[Q_al, Q_be], Q_g] against the tensor.  For each al the
-    # terms of every (be > al, g, d) go into one sparse matrix with row
-    # be*128 + g and column d, which sums them exactly.
     t0 = time.perf_counter()
-    fail = np.zeros((NS, NS, NS), dtype=bool)
-    ar = np.arange(NS)
-    for al in range(NS):
-        be = np.arange(al + 1, NS)
-        own = p == al
-        terms = (
-            # [[Q_al, Q_be], Q_g]_d = sum_k v_k [J_k, Q_g]_d over the stored (al, be, k, v)
-            (q[own, None] * NS + ar, tb[k[own]], v[own, None] * tv[k[own]]),
-            # [[Q_be, Q_g], Q_al]: nonzero at g = gk[be, k]
-            (be[:, None] * NS + gk[be], np.broadcast_to(tb[:, al], (len(be), NV)),
-             fk[be] * tv[:, al]),
-            # [[Q_g, Q_al], Q_be]: nonzero at g = gk[al, k], coeff -fk[al, k]
-            (be[:, None] * NS + gk[al], tb[:, be].T, -fk[al] * tv[:, be].T),
-        )
-        rows, cols, vals = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*terms))
-        tot = sp.csr_matrix((vals, (rows, cols)), shape=(NS * NS, NS))
-        tot.sum_duplicates()
-        tot.eliminate_zeros()
-        fail[al] = np.diff(tot.indptr).reshape(NS, NS) > 0
-    full_s = time.perf_counter() - t0
-
-    # sampled QQQ triples, read off the scan: with the stored table
-    # antisymmetric the cyclic sum is totally antisymmetric, so a triple
-    # fails iff its sorted form does, and one with a repeated index sums to 0
     rng = np.random.default_rng(seed)
     triples = rng.integers(0, NS, size=(samples, 3))
     x, y, z = np.sort(triples, axis=1).T
     bad = np.flatnonzero((x < y) & (y < z) & fail[x, y, z])
     first = "triple (Q(%d), Q(%d), Q(%d))" % tuple(triples[bad[0]] + 1) if len(bad) else None
     reports.append(
-        SuiteReport("jacobi-QQQ-sampled", samples, len(bad), first, time.perf_counter() - t0)
+        SuiteReport("jacobi-QQQ-sampled", samples, len(bad), first, scan_s + time.perf_counter() - t0)
     )
 
     if full_spinor:
+        t0 = time.perf_counter()
         bad = np.argwhere(fail.any(axis=2))
         first = "pair (Q(%d), Q(%d)) against all Q" % tuple(bad[0] + 1) if len(bad) else None
-        reports.append(
-            SuiteReport("jacobi-QQQ-full", NS * (NS - 1) // 2, len(bad), first, full_s)
-        )
+        reports.append(SuiteReport(
+            "jacobi-QQQ-full", NS * (NS - 1) // 2, len(bad), first, scan_s + time.perf_counter() - t0
+        ))
     return reports
 
 

@@ -13,8 +13,9 @@ numpy first gets a warning on stderr, since the cap then has no effect.
 The build and the queries need numpy only.  verify builds only what its
 suites read.  The gamma blocks and both so(16) spinor families are checked
 on their permutation arrays, so `verify --suite clifford` needs numpy
-only; the other suites also build the bracket table and run the exact
-sparse engine, which loads scipy.sparse.
+only; the other suites also build the bracket table and its adjoint rep,
+and read every relation and Jacobi stratum off one exact scan of the
+table's Jacobi identity over sorted triples, which loads scipy.sparse.
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ def _emit(payload: dict, out: str | None) -> None:
     from .io import write_json
 
     payload.setdefault("format_version", FORMAT_VERSION)
-    text = json.dumps(payload, indent=2)
     if out:
         write_json(out, payload)
     else:
-        print(text)
+        print(json.dumps(payload, indent=2))
 
 
 def _y_arg(text: str) -> tuple[float, ...]:

@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 from dataclasses import dataclass
@@ -597,6 +598,133 @@ def test_jacobi_pairs_fault_injection_corrupted_entry(rep, tensor):
     jj = next(r for r in reports if r.name == "jacobi-JJ*-pairs")
     assert not jj.passed
     assert jj.first_counterexample == "pair (J(1,2), J(1,3))"
+
+
+def test_rep_takes_matrices_or_a_table_not_both(rep, tensor):
+    # the scan path trusts a rep with rep.t is t to be ad(t); only build(t)
+    # may tie a rep to a table
+    with pytest.raises(ValueError, match="not both"):
+        AdjointRep(rep.mats, tensor)
+
+
+def _faulted(t, fault):
+    """t with one fault: a flipped coefficient in one relation stratum, or
+    the spinor-spinor coefficients doubled, all of them (still a Lie
+    algebra) or only the first of each bracket (not one)."""
+    if fault == "vector-vector":
+        return _flipped(t, (vector_flat(2, 5), vector_flat(5, 9)))
+    if fault == "vector-spinor":
+        return _flipped(t, (vector_flat(3, 4), spinor_flat(7)))
+    if fault == "spinor-spinor":
+        return _flipped(t, (spinor_flat(5), int(t.b[np.argmax(t.a == spinor_flat(5))])))
+    first = np.r_[True, np.diff(t.a * DIM + t.b) != 0] | (fault == "uniform-doubling")
+    return _with_coeffs(t, np.where(first & (t.a >= 120), 2 * t.v, t.v))
+
+
+@pytest.mark.parametrize("fault", ["vector-vector", "vector-spinor", "spinor-spinor",
+                                   "nonuniform-doubling", "uniform-doubling"])
+def test_scan_path_matches_engine_path(tensor, fault):
+    # a rep built from the table reads every pair stratum off the table's
+    # Jacobi scan; the same matrices without the table run the engine: the
+    # reports and the pair grids are equal
+    t = _faulted(tensor, fault)
+    own = AdjointRep.build(t)
+    engine = AdjointRep(AdjointRep.build(t).mats)
+    got = _certify_reports(own, t)
+    assert got == _certify_reports(engine, t)
+    done, fail = engine.pair_table(t)
+    assert done[np.triu_indices(DIM, 1)].all()
+    assert np.array_equal(fail | fail.T, t.jacobi_failures[0])
+    assert not own.pair_table(t).any()  # the engine never ran on the own rep
+    assert all(d["passed"] for d in got) == (fault == "uniform-doubling")
+
+
+def test_certify_calls_on_a_built_rep_scan_once(tensor, monkeypatch):
+    # the certify call sequence on AdjointRep.build(t) runs the table's scan
+    # once and the pair engine never; a copy of the session table starts
+    # without a cached scan
+    t = _with_coeffs(tensor, tensor.v)
+    calls = {"engine": 0, "scan": 0}
+    engine, scan = alg._pair_failures, alg._jacobi_scan
+
+    def counted_engine(*args):
+        calls["engine"] += 1
+        return engine(*args)
+
+    def counted_scan(*args):
+        calls["scan"] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(alg, "_pair_failures", counted_engine)
+    monkeypatch.setattr(alg, "_jacobi_scan", counted_scan)
+    for _ in range(2):
+        assert all(d["passed"] for d in _certify_reports(AdjointRep.build(t), t))
+    assert calls == {"engine": 0, "scan": 1}
+
+
+def _qqq_scan_oracle(t):
+    """The per-alpha QQQ scan, from the structure of the table: fail[al, be, g]
+    (al < be) marks a nonzero cyclic sum of [[Q_al, Q_be], Q_g].  For each al
+    the terms of every (be > al, g, d) go into one sparse matrix with row
+    be*128 + g and column d, which sums them exactly."""
+    nv, ns = alg.NV, alg.NS
+    jq = (t.a < nv) & (t.b >= nv)
+    tb = t.c[jq].reshape(nv, ns) - nv  # [J_k, Q_a] target spinor
+    tv = t.v[jq].reshape(nv, ns)  # and its doubled coefficient
+    qq = t.a >= nv
+    p, q, k, v = t.a[qq] - nv, t.b[qq] - nv, t.c[qq], t.v[qq]
+    gk = np.zeros((ns, nv), dtype=np.int64)  # partner of a in [Q_a, .] for J_k
+    fk = np.zeros((ns, nv), dtype=np.int64)  # and the stored doubled coefficient
+    gk[p, k], fk[p, k] = q, v
+    gk[q, k], fk[q, k] = p, -v
+    fail = np.zeros((ns, ns, ns), dtype=bool)
+    ar = np.arange(ns)
+    for al in range(ns):
+        be = np.arange(al + 1, ns)
+        own = p == al
+        terms = (
+            # [[Q_al, Q_be], Q_g]_d = sum_k v_k [J_k, Q_g]_d over the stored (al, be, k, v)
+            (q[own, None] * ns + ar, tb[k[own]], v[own, None] * tv[k[own]]),
+            # [[Q_be, Q_g], Q_al]: nonzero at g = gk[be, k]
+            (be[:, None] * ns + gk[be], np.broadcast_to(tb[:, al], (len(be), nv)),
+             fk[be] * tv[:, al]),
+            # [[Q_g, Q_al], Q_be]: nonzero at g = gk[al, k], coeff -fk[al, k]
+            (be[:, None] * ns + gk[al], tb[:, be].T, -fk[al] * tv[:, be].T),
+        )
+        rows, cols, vals = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*terms))
+        tot = sp.csr_matrix((vals, (rows, cols)), shape=(ns * ns, ns))
+        tot.sum_duplicates()
+        tot.eliminate_zeros()
+        fail[al] = np.diff(tot.indptr).reshape(ns, ns) > 0
+    return fail
+
+
+@pytest.mark.parametrize("fault", [None, "nonuniform-doubling", "spinor-spinor"])
+def test_spinor_cube_matches_per_alpha_oracle(tensor, fault):
+    t = tensor if fault is None else _faulted(tensor, fault)
+    cube = t.jacobi_failures[1]
+    assert np.array_equal(cube, _qqq_scan_oracle(t))
+    assert cube.any() == (fault is not None)
+
+
+def test_scan_time_counts_in_the_call_that_runs_it(rep, tensor, monkeypatch):
+    # every report of the call that runs the scan includes its time, whichever
+    # suite runs first and whichever path the pair strata take
+    scan = alg._jacobi_scan
+
+    def slow_scan(t):
+        time.sleep(0.05)
+        return scan(t)
+
+    monkeypatch.setattr(alg, "_jacobi_scan", slow_scan)
+    calls = (
+        lambda r, t: verify_defining_relations(r, t, strata=("vector-vector",)),
+        lambda r, t: verify_jacobi(r, t, samples=100, seed=0, full_spinor=True),
+    )
+    for first, make in ((0, AdjointRep.build), (1, AdjointRep.build), (1, lambda t: AdjointRep(rep.mats))):
+        t = _with_coeffs(tensor, tensor.v)
+        for r in calls[first](make(t), t):
+            assert r.elapsed_s >= 0.05, r.name
 
 
 def _so16_fault(tensor, fault):
